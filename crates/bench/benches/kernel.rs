@@ -80,9 +80,7 @@ fn bench_schedule_cancel(c: &mut Criterion) {
 
 /// Head-to-head raw-queue benchmarks: the hierarchical timing wheel
 /// against the binary-heap reference on the three access patterns the
-/// simulators generate. Both types are always compiled (the `heap-queue`
-/// cargo feature only selects which one the engine embeds), so one run
-/// reports both sides.
+/// simulators generate; one run reports both sides.
 fn bench_queue_impls(c: &mut Criterion) {
     // Dense near-future: every event lands within a level-0 window of the
     // cursor, the common case for CPU burst completions.

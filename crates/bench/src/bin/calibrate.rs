@@ -4,7 +4,7 @@
 //! sweeps the figure sizes for C, P and L under the given parameters and
 //! prints throughput / %missed / deadlocks per point.
 
-use monitor::{CheckConfig, CheckSink};
+use monitor::CheckSink;
 use rtdb::{Catalog, Placement};
 use rtlock::{ProtocolKind, Simulator, SingleSiteConfig};
 use starlite::SimDuration;
@@ -65,11 +65,7 @@ fn main() {
             let mut rs = 0.0;
             for seed in 0..seeds {
                 let r = if check {
-                    let mut sink = CheckSink::new(CheckConfig::single_site(
-                        kind == ProtocolKind::PriorityCeiling,
-                        true,
-                        restart,
-                    ));
+                    let mut sink = CheckSink::new(kind.check_config(restart));
                     let r = sim.run_with(seed, &mut sink);
                     for v in sink.finish() {
                         eprintln!("check: size={size} {} seed {seed}: {v}", kind.label());

@@ -4,7 +4,7 @@
 //! Usage: `calibrate_dist <util> <slack> <delay_units...>` measures both
 //! architectures at the 50/50 mix for each delay.
 
-use monitor::{CheckConfig, CheckSink};
+use monitor::CheckSink;
 use rtdb::{Catalog, Placement};
 use rtlock::distributed::{CeilingArchitecture, DistributedConfig, DistributedSimulator};
 use starlite::SimDuration;
@@ -68,10 +68,7 @@ fn main() {
             let seeds = 5;
             for seed in 0..seeds {
                 let r = if check {
-                    let mut sink = CheckSink::new(CheckConfig::distributed(
-                        arch == CeilingArchitecture::LocalReplicated,
-                        3,
-                    ));
+                    let mut sink = CheckSink::new(arch.check_config(3));
                     let r = sim.run_with(seed, &mut sink);
                     for v in sink.finish() {
                         eprintln!("check: delay={d} {arch:?} seed {seed}: {v}");

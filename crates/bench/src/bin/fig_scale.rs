@@ -1,8 +1,7 @@
 //! Scale stress sweep for the event core: single-site runs far beyond the
 //! paper's workload sizes, up to 10⁶ transactions over a 10⁵-object
 //! database in one simulation, reporting raw simulator throughput
-//! (kernel events per wall-clock second) against the roadmap's 10M
-//! events/sec target.
+//! (kernel events per wall-clock second).
 //!
 //! Unlike `fig2`…`fig6` this binary measures the *simulator*, not the
 //! protocols: the figures it feeds are BENCH_SWEEP.json throughput
@@ -28,9 +27,6 @@ const SCALE_DB_SIZE: u32 = 100_000;
 /// size; with 10⁵ objects the data contention is low, so the sweep
 /// measures event-core throughput rather than protocol blocking.
 const SCALE_TXN_SIZE: u32 = 8;
-
-/// The roadmap's single-worker throughput target, in events/sec.
-const TARGET_EVENTS_PER_SEC: f64 = 10_000_000.0;
 
 /// Hot objects shown in each per-point contention summary line.
 const HOT_OBJECTS: usize = 3;
@@ -58,7 +54,6 @@ fn main() {
         "{:>10} {:>12} {:>10} {:>10} {:>14}",
         "txns", "events", "commits", "%missed", "events/sec"
     );
-    let mut measured_best = 0.0f64;
     let mut contention = Vec::new();
     for &txns in scales {
         let spec = RunSpec {
@@ -70,7 +65,6 @@ fn main() {
         let m = rtlock_bench::harness::execute(&spec);
         let wall = t0.elapsed().as_secs_f64();
         let eps = m.events as f64 / wall;
-        measured_best = measured_best.max(eps);
         println!(
             "{:>10} {:>12} {:>10} {:>10.2} {:>14.0}",
             txns, m.events, m.committed, m.pct_missed, eps
@@ -104,13 +98,6 @@ fn main() {
             ("peak_window_miss_rate", peak_miss.into()),
         ]));
     }
-
-    println!(
-        "\nroadmap target: {:.1}M events/sec — measured best: {:.2}M events/sec ({:.0}% of target)",
-        TARGET_EVENTS_PER_SEC / 1e6,
-        measured_best / 1e6,
-        100.0 * measured_best / TARGET_EVENTS_PER_SEC,
-    );
 
     // The recorded sweep: every scale as one harness sweep, so the
     // BENCH_SWEEP.json entry carries the aggregate events/sec the same

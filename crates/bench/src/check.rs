@@ -12,8 +12,6 @@
 //! keeps every protocol honest across the whole figure grid.
 
 use monitor::CheckConfig;
-use rtlock::distributed::CeilingArchitecture;
-use rtlock::ProtocolKind;
 
 use crate::harness::{default_workers, SimSpec, Sweep, SweepResults};
 use crate::params;
@@ -23,29 +21,16 @@ pub fn check_requested() -> bool {
     std::env::args().skip(1).any(|a| a == "--check")
 }
 
-/// The oracle configuration matching one run spec's protocol semantics.
+/// The oracle configuration matching one run spec's protocol semantics
+/// (see [`ProtocolKind::check_config`] and
+/// [`CeilingArchitecture::check_config`]).
 ///
-/// * Ceiling invariants (blocked-at-most-once, ceiling monotonicity,
-///   waits-for acyclicity, deadlock freedom) apply to the two ceiling
-///   variants and to both distributed architectures, which run the
-///   ceiling protocol at every site.
-/// * Timestamp ordering journals grants but manages no lock table, so
-///   lock-legality checks are disabled for it while its grants still
-///   feed the conflict graph.
+/// [`ProtocolKind::check_config`]: rtlock::ProtocolKind::check_config
+/// [`CeilingArchitecture::check_config`]: rtlock::distributed::CeilingArchitecture::check_config
 pub fn config_for(sim: &SimSpec) -> CheckConfig {
     match sim {
-        SimSpec::SingleSite(s) => CheckConfig::single_site(
-            matches!(
-                s.protocol,
-                ProtocolKind::PriorityCeiling | ProtocolKind::PriorityCeilingExclusive
-            ),
-            s.protocol != ProtocolKind::TimestampOrdering,
-            s.restart_victims,
-        ),
-        SimSpec::Distributed(s) => CheckConfig::distributed(
-            s.architecture == CeilingArchitecture::LocalReplicated,
-            params::DIST_SITES,
-        ),
+        SimSpec::SingleSite(s) => s.protocol.check_config(s.restart_victims),
+        SimSpec::Distributed(s) => s.architecture.check_config(params::DIST_SITES),
     }
 }
 
@@ -80,6 +65,8 @@ pub fn run_sweep(sweep: &Sweep) -> SweepResults {
 mod tests {
     use super::*;
     use crate::harness::{DistributedSpec, SingleSiteSpec};
+    use rtlock::distributed::CeilingArchitecture;
+    use rtlock::ProtocolKind;
 
     #[test]
     fn single_site_configs_track_protocol_semantics() {

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use monitor::CheckConfig;
 use serde::{Deserialize, Serialize};
 use starlite::{CpuPolicy, SimDuration};
 
@@ -51,6 +52,21 @@ impl ProtocolKind {
             ProtocolKind::PriorityCeilingExclusive => "Cx",
             ProtocolKind::TimestampOrdering => "T",
         }
+    }
+
+    /// The invariant oracle's expectations for a single-site run of this
+    /// protocol. Ceiling invariants apply to the two ceiling variants.
+    /// Timestamp ordering keeps no lock table, so lock-legality checks are
+    /// off for it while its grants still feed the conflict graph.
+    pub fn check_config(self, restart_victims: bool) -> CheckConfig {
+        CheckConfig::single_site(
+            matches!(
+                self,
+                ProtocolKind::PriorityCeiling | ProtocolKind::PriorityCeilingExclusive
+            ),
+            self != ProtocolKind::TimestampOrdering,
+            restart_victims,
+        )
     }
 
     /// All protocol kinds, in presentation order.
@@ -180,9 +196,6 @@ pub struct SingleSiteConfig {
     /// Whether deadlock victims restart (until their deadline) or abort
     /// outright.
     pub restart_victims: bool,
-    /// Windowed timeline collection: commits and misses per window of
-    /// this length (`None` disables; see `monitor::Timeline`).
-    pub timeline_window: Option<SimDuration>,
     /// Locking granularity: objects per lock granule (the paper's
     /// "database … with user defined … granularity"). 1 locks individual
     /// objects; larger values lock blocks of consecutive objects,
@@ -216,7 +229,6 @@ impl Default for SingleSiteConfigBuilder {
                 io_parallelism: None,
                 victim_policy: VictimPolicy::LowestPriority,
                 restart_victims: true,
-                timeline_window: None,
                 lock_granularity: 1,
                 mvcc: None,
             },
@@ -263,17 +275,6 @@ impl SingleSiteConfigBuilder {
     /// Sets whether deadlock victims restart or abort outright.
     pub fn restart_victims(mut self, restart: bool) -> Self {
         self.config.restart_victims = restart;
-        self
-    }
-
-    /// Enables windowed timeline collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window length is zero.
-    pub fn timeline_window(mut self, window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "window length must be positive");
-        self.config.timeline_window = Some(window);
         self
     }
 

@@ -28,6 +28,7 @@ pub use sim::{
     run_transactions_distributed, run_transactions_distributed_with, DistributedSimulator,
 };
 
+use monitor::CheckConfig;
 use netsim::{FaultPlan, Topology};
 use rtdb::SiteId;
 use serde::{Deserialize, Serialize};
@@ -50,6 +51,13 @@ impl CeilingArchitecture {
             CeilingArchitecture::GlobalManager => "global",
             CeilingArchitecture::LocalReplicated => "local",
         }
+    }
+
+    /// The invariant oracle's expectations for a run of this architecture
+    /// over `sites` sites. Both architectures run the ceiling protocol at
+    /// every site; only the local one propagates replica updates.
+    pub fn check_config(self, sites: u8) -> CheckConfig {
+        CheckConfig::distributed(self == CeilingArchitecture::LocalReplicated, sites)
     }
 }
 
@@ -86,9 +94,6 @@ pub struct DistributedConfig {
     /// is retried (with exponential backoff) before the transaction gives
     /// up and misses.
     pub max_rpc_retries: u32,
-    /// Windowed timeline collection: commits and misses per window of
-    /// this length (`None` disables; see `monitor::Timeline`).
-    pub timeline_window: Option<SimDuration>,
     /// Multiversion temporal-consistency measurement (local architecture,
     /// §4's closing mechanism): read-only transactions additionally probe
     /// a per-site version store pinned at their arrival instant, and the
@@ -130,7 +135,6 @@ impl Default for DistributedConfigBuilder {
                 fail_site: None,
                 faults: FaultPlan::default(),
                 max_rpc_retries: 2,
-                timeline_window: None,
                 temporal_versions: None,
                 snapshot_readers: false,
             },
@@ -190,17 +194,6 @@ impl DistributedConfigBuilder {
     /// Sets the lock-RPC retry budget.
     pub fn max_rpc_retries(mut self, retries: u32) -> Self {
         self.config.max_rpc_retries = retries;
-        self
-    }
-
-    /// Enables windowed timeline collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window length is zero.
-    pub fn timeline_window(mut self, window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "window length must be positive");
-        self.config.timeline_window = Some(window);
         self
     }
 

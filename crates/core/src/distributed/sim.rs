@@ -25,8 +25,8 @@
 //!
 //! A transaction whose deadline expires after its commit decision has been
 //! broadcast cannot be retracted: it completes two-phase commit, its
-//! writes stand (and are recorded in the history), and it is *counted as
-//! deadline-missing* — the hard-deadline accounting the paper uses.
+//! writes stand, and it is *counted as deadline-missing* — the
+//! hard-deadline accounting the paper uses.
 //!
 //! # Fault injection & recovery
 //!
@@ -49,7 +49,7 @@
 //!   escalating to a direct failure-detector release so no transaction can
 //!   leave locks behind;
 //! * a crashing site aborts its resident transactions
-//!   (`Outcome::AbortedByFault`) and loses its protocol state; on restart
+//!   (counted in `RunStats::faulted`) and loses its protocol state; on restart
 //!   a replicated site catches its replica up by asking every peer to
 //!   replay the newest version of each object it is primary for
 //!   (anti-entropy via the ordinary system-transaction apply path).
@@ -57,11 +57,11 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use monitor::{AbortReason, Monitor, RunStats, SimEvent, SimEventKind};
+use monitor::{AbortReason, SimEvent, SimEventKind, StatsFold};
 use netsim::{CallId, CallTable, NetJournalEntry, Network, SendOutcome};
 use rtdb::{
-    Catalog, Coordinator, CoordinatorAction, LockMode, ObjectId, OpKind, Operation, Participant,
-    ParticipantAction, Placement, SiteId, TxnId, TxnSpec, Vote,
+    Catalog, Coordinator, CoordinatorAction, LockMode, ObjectId, Participant, ParticipantAction,
+    Placement, SiteId, TxnId, TxnSpec, Vote,
 };
 use starlite::{
     Completion, Cpu, CpuJournalEntry, CpuJournalKind, CpuPolicy, CpuToken, Engine, EventId,
@@ -119,14 +119,10 @@ enum Message {
     },
     RemoteRead {
         txn: TxnId,
-        object: ObjectId,
         from: SiteId,
     },
     RemoteReadReply {
         txn: TxnId,
-        object: ObjectId,
-        served_at: SimTime,
-        served_seq: u64,
     },
     Prepare {
         txn: TxnId,
@@ -146,7 +142,6 @@ enum Message {
     AckMsg {
         txn: TxnId,
         site: SiteId,
-        applied: Vec<(ObjectId, SimTime, u64)>,
     },
     SecondaryUpdate {
         object: ObjectId,
@@ -223,7 +218,6 @@ struct DExec {
     step: usize,
     seq: Vec<(ObjectId, LockMode)>,
     deadline_ev: Option<EventId>,
-    oplog: Vec<(ObjectId, OpKind, SimTime, u64, SiteId)>,
     coordinator: Option<Coordinator>,
     /// Commit decision broadcast; the transaction can no longer abort.
     decided: bool,
@@ -233,7 +227,7 @@ struct DExec {
     pending_call: Option<(CallId, EventId)>,
     /// Lock RPCs retried so far (per-transaction budget).
     attempts: u32,
-    /// Home-site view of "blocked at the manager" — pairs the monitor's
+    /// Home-site view of "blocked at the manager" — pairs the stats fold's
     /// `on_block`/`on_unblock` exactly once even when `LockPending` or
     /// wakeup grants are lost or duplicated.
     blocked: bool,
@@ -262,7 +256,7 @@ struct DistModel<S> {
     global_pcp: Option<PriorityCeilingProtocol>,
     /// Local architecture: one protocol instance per site.
     local_pcps: Vec<PriorityCeilingProtocol>,
-    monitor: Monitor,
+    stats: StatsFold,
     specs: FxHashMap<TxnId, TxnSpec>,
     exec: FxHashMap<TxnId, DExec>,
     /// Home-site view of each transaction's effective priority (global
@@ -287,9 +281,6 @@ struct DistModel<S> {
     next_system_id: u64,
     applied_updates: u64,
     stale_updates: u64,
-    /// Logical operation counter (event-execution order), keeping
-    /// histories totally ordered per copy even at zero delay.
-    op_seq: u64,
     /// Per-site version stores when temporal measurement is on.
     version_stores: Vec<VersionStore>,
     /// Live snapshot pins (snapshot-reader mode): reader → (handle into
@@ -444,12 +435,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         self.scratch_net.clear();
     }
 
-    fn next_op_seq(&mut self) -> u64 {
-        let seq = self.op_seq;
-        self.op_seq += 1;
-        seq
-    }
-
     fn home(&self, txn: TxnId) -> SiteId {
         self.specs[&txn].home_site
     }
@@ -511,7 +496,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             step: 0,
             seq: Vec::new(),
             deadline_ev: None,
-            oplog: Vec::new(),
             coordinator: None,
             decided: false,
             deadline_passed: false,
@@ -530,7 +514,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         exec.step = 0;
         exec.seq.clear();
         exec.deadline_ev = None;
-        exec.oplog.clear();
         exec.coordinator = None;
         exec.decided = false;
         exec.deadline_passed = false;
@@ -555,8 +538,8 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 home,
                 SimEventKind::TxnArrived { txn, priority },
             );
-            self.monitor.register(&self.specs[&txn]);
-            self.monitor.on_fault_abort(txn, sched.now());
+            self.stats.register(&self.specs[&txn]);
+            self.stats.on_fault_abort(txn, sched.now());
             self.emit(
                 sched.now(),
                 home,
@@ -572,8 +555,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             home,
             SimEventKind::TxnArrived { txn, priority },
         );
-        self.monitor.register(&self.specs[&txn]);
-        self.monitor.on_start(txn, sched.now());
+        self.stats.register(&self.specs[&txn]);
         self.emit(sched.now(), home, SimEventKind::TxnStarted { txn });
         let (deadline, base_prio) = {
             let spec = &self.specs[&txn];
@@ -676,9 +658,8 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         }
     }
 
-    /// A processing burst completed: record the operation and move on.
+    /// A processing burst completed: move on to the next step.
     fn finish_access_for(&mut self, txn: TxnId, site: SiteId, sched: &mut Scheduler<Ev>) {
-        let now = sched.now();
         let Some(exec) = self.exec.get_mut(&txn) else {
             return;
         };
@@ -688,25 +669,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             self.finish_system_apply(txn, site, apply, sched);
             return;
         }
-        let (object, mode) = exec.seq[exec.step];
-        let record_read = match self.config.architecture {
-            // Reads of local primaries are recorded here; remote reads
-            // were recorded at serve time; writes apply during 2PC.
-            CeilingArchitecture::GlobalManager => {
-                mode == LockMode::Read && self.catalog.primary_site(object) == site
-            }
-            CeilingArchitecture::LocalReplicated => {
-                // Snapshot readers record no history operations: they read
-                // a past, already-serialised prefix of their replica.
-                mode == LockMode::Read && !self.is_snapshot_reader(txn)
-            }
-        };
-        if record_read {
-            let seq = self.next_op_seq();
-            let exec = self.exec.get_mut(&txn).expect("checked above");
-            exec.oplog.push((object, OpKind::Read, now, seq, site));
-        }
-        let exec = self.exec.get_mut(&txn).expect("checked above");
         exec.step += 1;
         match self.config.architecture {
             CeilingArchitecture::GlobalManager => self.advance_global(txn, sched),
@@ -763,7 +725,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         if let Some(exec) = self.exec.remove(&txn) {
             self.recycle_exec(exec);
         }
-        self.monitor.on_miss(txn, sched.now());
+        self.stats.on_miss(txn, sched.now());
         self.emit(
             sched.now(),
             home,
@@ -897,10 +859,10 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         self.pending_releases.insert(txn, (attempts + 1, retry_ev));
     }
 
-    /// Aborts a live transaction because of a site failure: closes its
-    /// monitor record as `AbortedByFault`, cancels its timers and open
-    /// call, removes it from its home CPU, and (global architecture)
-    /// releases its locks through the failure detector.
+    /// Aborts a live transaction because of a site failure: counts it as
+    /// fault-aborted, cancels its timers and open call, removes it from
+    /// its home CPU, and (global architecture) releases its locks through
+    /// the failure detector.
     fn fault_abort(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
         let Some(mut exec) = self.exec.remove(&txn) else {
             return;
@@ -914,7 +876,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             self.calls.close(call);
         }
         let home = self.home(txn);
-        self.monitor.on_fault_abort(txn, now);
+        self.stats.on_fault_abort(txn, now);
         self.emit(
             now,
             home,
@@ -1208,7 +1170,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         if let Some(exec) = self.exec.remove(&txn) {
             self.recycle_exec(exec);
         }
-        self.monitor.on_miss(txn, sched.now());
+        self.stats.on_miss(txn, sched.now());
         let home = self.home(txn);
         self.emit(
             sched.now(),
@@ -1277,21 +1239,11 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         if let Some(ev) = exec.deadline_ev {
             sched.cancel(ev);
         }
-        for &(object, kind, at, seq, site) in &exec.oplog {
-            self.monitor.record_op(Operation {
-                txn,
-                object,
-                kind,
-                at,
-                seq,
-                site,
-            });
-        }
         let deadline_passed = exec.deadline_passed;
         self.recycle_exec(exec);
         let home = self.home(txn);
         if deadline_passed {
-            self.monitor.on_miss(txn, sched.now());
+            self.stats.on_miss(txn, sched.now());
             self.emit(
                 sched.now(),
                 home,
@@ -1301,7 +1253,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 },
             );
         } else {
-            self.monitor.on_commit(txn, sched.now());
+            self.stats.on_commit(txn, sched.now());
             self.emit(sched.now(), home, SimEventKind::TxnCommitted { txn });
         }
         self.send_release(txn, sched);
@@ -1379,7 +1331,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                         self.base_priority_of(*b)
                             .is_some_and(|bp| bp < self.specs[&txn].base_priority())
                     });
-                    self.monitor.on_block(txn, sched.now(), lower);
+                    self.stats.on_block(txn, sched.now(), lower);
                 }
             }
             RequestOutcome::Deadlock { .. } => {
@@ -1422,11 +1374,11 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             sched.cancel(ev);
         }
         if self.is_snapshot_reader(txn) {
-            // Nothing written, nothing locked, no history recorded: the
-            // snapshot read a past serialised prefix of its replica.
+            // Nothing written, nothing locked: the snapshot read a past
+            // serialised prefix of its replica.
             let home = self.home(txn);
             self.recycle_exec(exec);
-            self.monitor.on_commit(txn, now);
+            self.stats.on_commit(txn, now);
             self.emit(now, home, SimEventKind::TxnCommitted { txn });
             self.release_reader_pin(txn, home, now);
             self.reader_committed += 1;
@@ -1467,15 +1419,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 self.versions_gced += 1;
                 self.emit(now, home, SimEventKind::VersionGced { object: obj, through });
             }
-            let seq = self.next_op_seq();
-            self.monitor.record_op(Operation {
-                txn,
-                object: obj,
-                kind: OpKind::Write,
-                at: now,
-                seq,
-                site: home,
-            });
             for s in self.catalog.sites() {
                 if s != home {
                     self.send(
@@ -1493,18 +1436,8 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 }
             }
         }
-        for &(object, kind, at, seq, site) in &exec.oplog {
-            self.monitor.record_op(Operation {
-                txn,
-                object,
-                kind,
-                at,
-                seq,
-                site,
-            });
-        }
         self.recycle_exec(exec);
-        self.monitor.on_commit(txn, now);
+        self.stats.on_commit(txn, now);
         self.emit(now, home, SimEventKind::TxnCommitted { txn });
         let release = self.local_pcps[home.index()].release_all(txn, ReleaseReason::Finished);
         self.drain_pcp(home, now);
@@ -1601,15 +1534,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                     },
                 );
             }
-            let seq = self.next_op_seq();
-            self.monitor.record_op(Operation {
-                txn,
-                object: apply.object,
-                kind: OpKind::Write,
-                at: now,
-                seq,
-                site,
-            });
             if apply.repair {
                 self.emit(
                     now,
@@ -1644,7 +1568,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         self.apply_local_priority_updates(site, &priority_updates, sched);
         for w in wakeups {
             if !self.is_system(w.txn) {
-                self.monitor.on_unblock(w.txn, sched.now());
+                self.stats.on_unblock(w.txn, sched.now());
             }
             self.pending_local.push_back(PendingWork::Resume(w.txn));
         }
@@ -1854,7 +1778,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 }
                 if !exec.blocked {
                     exec.blocked = true;
-                    self.monitor
+                    self.stats
                         .on_block(txn, sched.now(), lower_priority_blocker);
                 }
             }
@@ -1883,7 +1807,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                         sched.cancel(timeout_ev);
                         self.calls.close(open_call);
                     }
-                    self.monitor.on_unblock(txn, sched.now());
+                    self.stats.on_unblock(txn, sched.now());
                 }
                 let Some(exec) = self.exec.get(&txn) else {
                     return; // deadline expired while the grant was in flight
@@ -1898,11 +1822,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                     self.send(
                         home,
                         primary,
-                        Message::RemoteRead {
-                            txn,
-                            object,
-                            from: home,
-                        },
+                        Message::RemoteRead { txn, from: home },
                         sched,
                     );
                 } else {
@@ -1936,29 +1856,12 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                     sched.cancel(retry_ev);
                 }
             }
-            Message::RemoteRead { txn, object, from } => {
+            Message::RemoteRead { txn, from } => {
                 // Serve the read against the primary copy; the lock is held
                 // at the manager, so this access is safe.
-                let now = sched.now();
-                let served_seq = self.next_op_seq();
-                self.send(
-                    to,
-                    from,
-                    Message::RemoteReadReply {
-                        txn,
-                        object,
-                        served_at: now,
-                        served_seq,
-                    },
-                    sched,
-                );
+                self.send(to, from, Message::RemoteReadReply { txn }, sched);
             }
-            Message::RemoteReadReply {
-                txn,
-                object,
-                served_at,
-                served_seq,
-            } => {
+            Message::RemoteReadReply { txn } => {
                 let Some(exec) = self.exec.get_mut(&txn) else {
                     return;
                 };
@@ -1966,9 +1869,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                     return; // duplicated reply; the burst already ran
                 }
                 exec.awaiting_read = false;
-                let primary = self.catalog.primary_site(object);
-                exec.oplog
-                    .push((object, OpKind::Read, served_at, served_seq, primary));
                 let home = self.home(txn);
                 self.submit_cpu(txn, home, sched);
             }
@@ -2086,11 +1986,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                         self.send(
                             to,
                             coordinator,
-                            Message::AckMsg {
-                                txn,
-                                site: to,
-                                applied: Vec::new(),
-                            },
+                            Message::AckMsg { txn, site: to },
                             sched,
                         );
                     }
@@ -2099,7 +1995,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 self.resolved_participants.insert((txn, to));
                 let action = participant.on_decision(commit);
                 self.emit(sched.now(), to, SimEventKind::TwoPcResolved { txn, commit });
-                let mut applied = Vec::new();
                 if action == ParticipantAction::CommitAndAck {
                     let now = sched.now();
                     for &obj in &writes {
@@ -2116,23 +2011,17 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                                     writer: txn,
                                 },
                             );
-                            let seq = self.next_op_seq();
-                            applied.push((obj, now, seq));
                         }
                     }
                 }
                 self.send(
                     to,
                     coordinator,
-                    Message::AckMsg {
-                        txn,
-                        site: to,
-                        applied,
-                    },
+                    Message::AckMsg { txn, site: to },
                     sched,
                 );
             }
-            Message::AckMsg { txn, site, applied } => {
+            Message::AckMsg { txn, site } => {
                 let Some(exec) = self.exec.get_mut(&txn) else {
                     return;
                 };
@@ -2140,11 +2029,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                     return;
                 };
                 if !coordinator.is_pending_ack(site) {
-                    return; // duplicated ack; ops were already recorded
-                }
-                for (obj, at, seq) in applied {
-                    let primary = self.catalog.primary_site(obj);
-                    exec.oplog.push((obj, OpKind::Write, at, seq, primary));
+                    return; // duplicated ack
                 }
                 let coordinator = exec.coordinator.as_mut().expect("checked above");
                 if let Some(CoordinatorAction::Done { committed }) = coordinator.on_ack(site) {
@@ -2308,10 +2193,6 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
         let prev = specs.insert(spec.id, spec);
         assert!(prev.is_none(), "duplicate transaction id");
     }
-    let mut monitor = Monitor::new();
-    if let Some(window) = config.timeline_window {
-        monitor.enable_timeline(window);
-    }
     let tracing = sink.enabled();
     // Values needed after `config` moves into the model.
     let fail_site = config.fail_site;
@@ -2354,7 +2235,7 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
             .collect(),
         global_pcp,
         local_pcps,
-        monitor,
+        stats: StatsFold::new(),
         specs,
         exec: FxHashMap::default(),
         eff_prio: FxHashMap::default(),
@@ -2366,7 +2247,6 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
         next_system_id: 0,
         applied_updates: 0,
         stale_updates: 0,
-        op_seq: 0,
         version_stores: match temporal_versions {
             Some(keep) => (0..sites).map(|_| VersionStore::new(keep)).collect(),
             None => Vec::new(),
@@ -2427,7 +2307,7 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
     for pcp in &model.local_pcps {
         pcp.assert_idle();
     }
-    let stats = RunStats::from_monitor(&model.monitor, makespan);
+    let stats = model.stats.finish(makespan);
     let ceiling_blocks = model
         .global_pcp
         .as_ref()
@@ -2448,7 +2328,6 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
         remote_messages: model.net.remote_sent_count(),
         net: Some(model.net.stats()),
         events,
-        monitor: model.monitor,
         stores: model.stores,
         temporal: temporal_versions.map(|_| {
             let constructible = model.snapshot_reads.saturating_sub(model.unconstructible);

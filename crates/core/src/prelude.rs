@@ -7,14 +7,9 @@
 pub use crate::config::{ProtocolKind, SingleSiteConfig, VictimPolicy};
 pub use crate::distributed::{CeilingArchitecture, DistributedConfig, DistributedSimulator};
 pub use crate::report::RunReport;
-pub use crate::single_site::{
-    check_store_integrity, run_transactions, run_transactions_with, Simulator,
-};
+pub use crate::single_site::{run_transactions, run_transactions_with, Simulator};
 
-pub use monitor::{
-    check_conflict_serializable, ChromeTraceSink, MetricsSink, Monitor, Outcome, RunStats,
-    SimEvent, SimEventKind, Summary,
-};
+pub use monitor::{ChromeTraceSink, MetricsSink, RunStats, SimEvent, SimEventKind, Summary};
 pub use netsim::DelayMatrix;
 pub use rtdb::{Catalog, LockMode, ObjectId, Placement, SiteId, TxnId, TxnKind, TxnSpec};
 pub use starlite::{EventSink, NullSink, Priority, SimDuration, SimTime, VecSink};

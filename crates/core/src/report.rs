@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use monitor::{Monitor, RunStats};
+use monitor::RunStats;
 use rtdb::ObjectStore;
 use starlite::SimDuration;
 
@@ -50,13 +50,12 @@ impl TemporalStats {
 }
 
 /// Everything a finished run reports: the paper's headline metrics plus
-/// protocol- and kernel-level counters, and the full monitor for deeper
-/// inspection (histories, per-transaction records).
+/// protocol- and kernel-level counters and the final stores. For
+/// per-transaction detail, run with an event sink (see
+/// [`crate::single_site::run_transactions_with`]).
 pub struct RunReport {
     /// Headline metrics (throughput, %missed, response times).
     pub stats: RunStats,
-    /// The monitor with per-transaction records and the committed history.
-    pub monitor: Monitor,
     /// Deadlocks detected (two-phase locking protocols only).
     pub deadlocks: u64,
     /// Requests denied by the ceiling test (ceiling protocols only).

@@ -9,9 +9,8 @@
 //!    lock; when granted, fetch the object (parallel I/O) and process it
 //!    (CPU burst under the protocol's scheduling policy, with preemption
 //!    and priority inheritance).
-//! 3. **Commit** — apply buffered writes, record the committed operations,
-//!    release all locks (two-phase: nothing was released earlier), retire
-//!    from the active set.
+//! 3. **Commit** — apply buffered writes, release all locks (two-phase:
+//!    nothing was released earlier), retire from the active set.
 //! 4. **Deadline** — a transaction still running at its deadline is
 //!    aborted and counts as missed; its locks are released and waiters
 //!    wake.
@@ -26,10 +25,9 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use monitor::{AbortReason, Monitor, RunStats, SimEvent, SimEventKind};
+use monitor::{AbortReason, SimEvent, SimEventKind, StatsFold};
 use rtdb::{
-    Catalog, LatchOutcome, LockMode, ObjectId, OpKind, Operation, Placement, RangeLatchManager,
-    SiteId, TxnId, TxnSpec,
+    Catalog, LatchOutcome, LockMode, ObjectId, Placement, RangeLatchManager, SiteId, TxnId, TxnSpec,
 };
 use starlite::{
     Completion, Cpu, CpuJournalEntry, CpuJournalKind, CpuToken, Engine, EventId, EventSink,
@@ -74,7 +72,6 @@ struct Exec {
     /// granule's mode (write if the transaction writes anything in it).
     lock_seq: Vec<(ObjectId, LockMode)>,
     deadline_ev: EventId,
-    oplog: Vec<(ObjectId, OpKind, SimTime, u64)>,
     write_buffer: Vec<ObjectId>,
     /// Latch-scan mode: the latch guarding the current access is held (a
     /// reader's range latch, once acquired, stays held — and `latched`
@@ -99,16 +96,13 @@ const SITE: SiteId = SiteId(0);
 
 struct SiteModel<S> {
     config: SingleSiteConfig,
-    /// Logical operation counter: assigned in event-execution order so
-    /// histories stay totally ordered per copy even within one tick.
-    op_seq: u64,
     protocol: Box<dyn LockProtocol>,
     cpu: Cpu<TxnId>,
     /// I/O transfers are keyed by (transaction, attempt) so completions of
     /// transfers issued before a restart are recognised as stale.
     io: IoDevice<(TxnId, u32)>,
     store: rtdb::ObjectStore,
-    monitor: Monitor,
+    stats: StatsFold,
     specs: FxHashMap<TxnId, TxnSpec>,
     exec: FxHashMap<TxnId, Exec>,
     /// Structured event sink ([`NullSink`] in the default configuration:
@@ -215,7 +209,7 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
             .base_priority();
         self.emit(sched.now(), SimEventKind::TxnArrived { txn, priority });
         let spec = self.specs.get(&txn).expect("arriving txn has a spec");
-        self.monitor.register(spec);
+        self.stats.register(spec);
         let deadline_ev = sched.schedule(spec.deadline, Ev::Deadline(txn));
         let mut exec = self.exec_pool.pop().unwrap_or_else(|| Exec {
             attempt: 0,
@@ -223,7 +217,6 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
             seq: Vec::new(),
             lock_seq: Vec::new(),
             deadline_ev,
-            oplog: Vec::new(),
             write_buffer: Vec::new(),
             latched: false,
         });
@@ -254,7 +247,6 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
             self.protocol.register(&self.granule_spec);
         }
         self.exec.insert(txn, exec);
-        self.monitor.on_start(txn, sched.now());
         self.emit(sched.now(), SimEventKind::TxnStarted { txn });
         if self.reader_mode(txn) == Some(ReaderMode::Snapshot) {
             let mvcc = self.config.mvcc.expect("snapshot mode implies mvcc");
@@ -288,7 +280,6 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
     /// Retires a transaction's execution record into the pool, keeping its
     /// vector capacities for the next arrival.
     fn recycle(&mut self, mut exec: Exec) {
-        exec.oplog.clear();
         exec.write_buffer.clear();
         self.exec_pool.push(exec);
     }
@@ -331,7 +322,7 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
             return; // already finished (its deadline event was cancelled)
         };
         self.recycle(exec);
-        self.monitor.on_miss(txn, sched.now());
+        self.stats.on_miss(txn, sched.now());
         self.emit(
             sched.now(),
             SimEventKind::TxnAborted {
@@ -401,7 +392,7 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
                     mode: g.mode,
                 },
             );
-            self.monitor.on_unblock(g.txn, now);
+            self.stats.on_unblock(g.txn, now);
             self.pending.push_back(Pending::Resume(g.txn));
         }
     }
@@ -464,12 +455,12 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
                         .get(b)
                         .is_some_and(|s| s.base_priority() < self.specs[&txn].base_priority())
                 });
-                self.monitor.on_block(txn, sched.now(), lower);
+                self.stats.on_block(txn, sched.now(), lower);
             }
             RequestOutcome::Deadlock { victim } => {
                 // The requester is queued inside the protocol either way;
                 // record the block, then schedule the victim's restart.
-                self.monitor.on_block(txn, sched.now(), None);
+                self.stats.on_block(txn, sched.now(), None);
                 self.pending.push_back(Pending::Restart(victim));
             }
         }
@@ -533,7 +524,7 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
                         .get(b)
                         .is_some_and(|s| s.base_priority() < self.specs[&txn].base_priority())
                 });
-                self.monitor.on_block(txn, now, lower);
+                self.stats.on_block(txn, now, lower);
                 false
             }
         }
@@ -551,7 +542,7 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
             let exec = self.exec.remove(&txn).expect("victim is live");
             sched.cancel(exec.deadline_ev);
             self.recycle(exec);
-            self.monitor.on_miss(txn, sched.now());
+            self.stats.on_miss(txn, sched.now());
             if self.reader_mode(txn).is_some() {
                 // Locking-mode readers can be deadlock victims too.
                 self.temporal.reader_missed += 1;
@@ -575,9 +566,8 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         exec.attempt += 1;
         exec.step = 0;
         exec.latched = false;
-        exec.oplog.clear();
         exec.write_buffer.clear();
-        self.monitor.on_restart(txn, sched.now());
+        self.stats.on_restart(txn, sched.now());
         self.emit(
             sched.now(),
             SimEventKind::TxnAborted {
@@ -595,29 +585,17 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         self.pending.push_back(Pending::Advance(txn));
     }
 
-    /// The current step's access was just granted: record the operation
-    /// (the grant instant is the serialisation point — the lock is held
-    /// from here to commit, and timestamp ordering decides here), then
-    /// fetch the object; with a memory-resident database the fetch is
-    /// free and processing starts at once.
+    /// The current step's access was just granted: buffer a write (it
+    /// applies at commit), then fetch the object; with a memory-resident
+    /// database the fetch is free and processing starts at once.
     fn start_io(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
-        let now = sched.now();
         if self.reader_mode(txn) == Some(ReaderMode::Snapshot) {
-            // Versioned read at the pinned instant; records no history
-            // operation (the snapshot is invisible to serialisability —
-            // it reads a past, already-serialised prefix).
-            self.snapshot_read_step(txn, now);
+            self.snapshot_read_step(txn, sched.now());
         } else {
-            let seq = self.op_seq;
-            self.op_seq += 1;
             let exec = self.exec.get_mut(&txn).expect("granted txn is live");
             let (object, mode) = exec.seq[exec.step];
-            match mode {
-                LockMode::Read => exec.oplog.push((object, OpKind::Read, now, seq)),
-                LockMode::Write => {
-                    exec.oplog.push((object, OpKind::Write, now, seq));
-                    exec.write_buffer.push(object);
-                }
+            if mode == LockMode::Write {
+                exec.write_buffer.push(object);
             }
         }
         if self.config.io_per_object.is_zero() {
@@ -676,7 +654,7 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
     }
 
     /// The CPU burst for the current object completed: move to the next
-    /// step (the data operation itself was recorded at grant time).
+    /// step.
     fn finish_access(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
         let Some(exec) = self.exec.get_mut(&txn) else {
             return;
@@ -686,19 +664,19 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         self.pump(sched);
     }
 
-    /// Commits: applies buffered writes, records history, releases locks,
-    /// retires the transaction.
+    /// Commits: applies buffered writes, releases locks, retires the
+    /// transaction.
     fn commit(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         let reader = self.reader_mode(txn);
         let exec = self.exec.remove(&txn).expect("committing unknown txn");
         sched.cancel(exec.deadline_ev);
         if reader == Some(ReaderMode::Snapshot) {
-            // Nothing written, nothing locked, no history recorded: the
-            // snapshot read a past serialised prefix. Just retire and let
-            // the released pin advance the GC watermark.
+            // Nothing written, nothing locked: the snapshot read a past
+            // serialised prefix. Just retire and let the released pin
+            // advance the GC watermark.
             self.recycle(exec);
-            self.monitor.on_commit(txn, now);
+            self.stats.on_commit(txn, now);
             self.emit(now, SimEventKind::TxnCommitted { txn });
             self.release_pin(txn, now);
             self.temporal.reader_committed += 1;
@@ -727,19 +705,8 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
                 }
             }
         }
-        let site = self.specs[&txn].home_site;
-        for &(object, kind, at, seq) in &exec.oplog {
-            self.monitor.record_op(Operation {
-                txn,
-                object,
-                kind,
-                at,
-                seq,
-                site,
-            });
-        }
         self.recycle(exec);
-        self.monitor.on_commit(txn, now);
+        self.stats.on_commit(txn, now);
         self.emit(now, SimEventKind::TxnCommitted { txn });
         if reader.is_some() {
             self.temporal.reader_committed += 1;
@@ -762,7 +729,7 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         self.apply_priority_updates(&priority_updates, sched);
         for w in wakeups {
             debug_assert!(self.exec.contains_key(&w.txn), "wakeup for finished txn");
-            self.monitor.on_unblock(w.txn, sched.now());
+            self.stats.on_unblock(w.txn, sched.now());
             self.pending.push_back(Pending::Resume(w.txn));
         }
     }
@@ -868,10 +835,6 @@ pub fn run_transactions_with<S: EventSink<SimEvent>>(
         let prev = specs.insert(spec.id, spec);
         assert!(prev.is_none(), "duplicate transaction id");
     }
-    let mut monitor = Monitor::new();
-    if let Some(window) = config.timeline_window {
-        monitor.enable_timeline(window);
-    }
     let mut protocol = make_protocol(config.protocol, config.victim_policy);
     let mut cpu = Cpu::new(config.protocol.cpu_policy());
     if sink.enabled() {
@@ -880,7 +843,6 @@ pub fn run_transactions_with<S: EventSink<SimEvent>>(
     }
     let model = SiteModel {
         config,
-        op_seq: 0,
         protocol,
         cpu,
         io: match config.io_parallelism {
@@ -888,7 +850,7 @@ pub fn run_transactions_with<S: EventSink<SimEvent>>(
             None => IoDevice::parallel(),
         },
         store: rtdb::ObjectStore::new(catalog.db_size()),
-        monitor,
+        stats: StatsFold::new(),
         specs,
         exec: FxHashMap::default(),
         sink,
@@ -927,7 +889,7 @@ pub fn run_transactions_with<S: EventSink<SimEvent>>(
         model.exec.is_empty(),
         "simulation drained with live transactions"
     );
-    let stats = RunStats::from_monitor(&model.monitor, makespan);
+    let stats = model.stats.finish(makespan);
     let temporal = model.config.mvcc.map(|_| {
         let t = &model.temporal;
         let constructible = t.snapshot_reads - t.unconstructible;
@@ -956,35 +918,8 @@ pub fn run_transactions_with<S: EventSink<SimEvent>>(
         remote_messages: 0,
         net: None,
         events,
-        monitor: model.monitor,
         stores: vec![model.store],
         temporal,
-    }
-}
-
-/// Verifies end-to-end value integrity of a finished run: every object's
-/// value equals its version, and the version equals the number of
-/// committed writes recorded for it at that site.
-///
-/// # Panics
-///
-/// Panics on any violated invariant.
-pub fn check_store_integrity(report: &RunReport) {
-    for (site_idx, store) in report.stores.iter().enumerate() {
-        let mut write_counts: FxHashMap<ObjectId, u64> = FxHashMap::default();
-        for op in report.monitor.history().operations() {
-            if op.kind == OpKind::Write && op.site.index() == site_idx {
-                *write_counts.entry(op.object).or_default() += 1;
-            }
-        }
-        for (id, obj) in store.iter() {
-            assert_eq!(obj.value, obj.version, "{id} value != version");
-            assert_eq!(
-                obj.version,
-                write_counts.get(&id).copied().unwrap_or(0),
-                "{id} version != committed writes at site {site_idx}"
-            );
-        }
     }
 }
 
@@ -992,6 +927,7 @@ pub fn check_store_integrity(report: &RunReport) {
 mod tests {
     use super::*;
     use crate::config::ProtocolKind;
+    use monitor::CheckSink;
     use starlite::SimDuration;
     use workload::SizeDistribution;
 
@@ -1018,6 +954,17 @@ mod tests {
             .build()
     }
 
+    /// Runs `txns` under the invariant oracle (conflict serialisability
+    /// among them) and panics on any violation.
+    fn run_checked(config: SingleSiteConfig, catalog: &Catalog, txns: Vec<TxnSpec>) -> RunReport {
+        let kind = config.protocol;
+        let mut check = CheckSink::new(kind.check_config(config.restart_victims));
+        let report = run_transactions_with(config, catalog, txns, &mut check);
+        let violations = check.finish();
+        assert!(violations.is_empty(), "{kind}: {violations:#?}");
+        report
+    }
+
     #[test]
     fn single_transaction_commits() {
         for kind in ProtocolKind::all() {
@@ -1036,7 +983,7 @@ mod tests {
     #[test]
     fn conflicting_transactions_serialise() {
         for kind in ProtocolKind::all() {
-            let report = run_transactions(
+            let report = run_checked(
                 config(kind),
                 &catalog(),
                 vec![
@@ -1045,8 +992,7 @@ mod tests {
                 ],
             );
             assert_eq!(report.stats.committed, 2, "{kind} failed");
-            monitor::check_conflict_serializable(report.monitor.history())
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            assert_eq!(report.stores[0].read(ObjectId(5)).version, 2);
         }
     }
 
@@ -1061,15 +1007,15 @@ mod tests {
         assert_eq!(report.stats.missed, 1);
         assert_eq!(report.stats.committed, 0);
         assert_eq!(report.stats.pct_missed, 100.0);
-        // The aborted transaction left nothing in the history.
-        assert!(report.monitor.history().is_empty());
+        // The aborted transaction left nothing in the store.
+        assert!(report.stores[0].iter().all(|(_, o)| o.version == 0));
     }
 
     #[test]
     fn deadlock_is_broken_and_both_commit() {
         // Classic crossing order: T0 takes O1 then O2; T1 takes O2 then O1.
         // Arrivals interleave so each grabs its first object.
-        let report = run_transactions(
+        let report = run_checked(
             config(ProtocolKind::TwoPhaseLockingPriority),
             &catalog(),
             vec![
@@ -1080,7 +1026,6 @@ mod tests {
         assert_eq!(report.deadlocks, 1);
         assert_eq!(report.stats.committed, 2);
         assert!(report.stats.restarts >= 1);
-        monitor::check_conflict_serializable(report.monitor.history()).unwrap();
     }
 
     #[test]
@@ -1127,14 +1072,13 @@ mod tests {
             .deadline(2.0, SimDuration::from_ticks(30))
             .build();
         for kind in ProtocolKind::all() {
-            let report = Simulator::new(config(kind), cat.clone(), &workload).run(3);
+            let txns = Generator::new(&workload, &cat).generate(3);
+            let report = run_checked(config(kind), &cat, txns);
             assert_eq!(report.stats.processed, 80, "{kind}");
             assert!(
                 report.stats.missed > 0,
                 "{kind} missed nothing under overload"
             );
-            monitor::check_conflict_serializable(report.monitor.history())
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
         }
     }
 }

@@ -7,17 +7,17 @@
 //! processing time, blocked interval, whether deadline was missed or not,
 //! and the number of aborts". This crate is that component:
 //!
-//! * [`record`] — per-transaction lifecycle records and the [`record::Monitor`]
-//!   collecting them;
-//! * [`aggregate`] — per-run metrics: the paper's normalised throughput
-//!   (data objects accessed per second by successful transactions) and the
+//! * [`aggregate`] — per-run metrics, folded by [`aggregate::StatsFold`]
+//!   as transactions finish: the paper's normalised throughput (data
+//!   objects accessed per second by successful transactions) and the
 //!   percentage of deadline-missing transactions, `%missed = 100 ×
 //!   missed / processed`;
 //! * [`ci`] — mean / standard deviation / 95 % confidence intervals over
 //!   the 10-seed replication the paper averages over;
 //! * [`csv`] — tabular export of experiment series;
-//! * [`serializability`] — conflict-graph checking of committed histories,
-//!   the correctness bar every protocol must clear;
+//! * [`serializability`] — offline conflict-graph checking of a committed
+//!   history: the reference model the online oracle's serialisability
+//!   check is tested against;
 //! * [`events`] — the unified structured event model ([`events::SimEvent`])
 //!   with the metrics, Chrome-trace and blocking-chain-explainer sinks;
 //! * [`check`] — the online invariant oracle ([`check::CheckSink`]):
@@ -46,12 +46,10 @@ pub mod hist;
 pub mod jsonl;
 pub mod plot;
 pub mod profile;
-pub mod record;
 pub mod serializability;
-pub mod timeline;
 pub mod timeseries;
 
-pub use aggregate::RunStats;
+pub use aggregate::{RunStats, StatsFold};
 pub use check::{CheckConfig, CheckSink, Violation};
 pub use ci::Summary;
 pub use events::{
@@ -61,7 +59,5 @@ pub use events::{
 pub use hist::Histogram;
 pub use jsonl::{read_jsonl, JsonlSink};
 pub use profile::{ContentionProfiler, ContentionReport};
-pub use record::{Monitor, Outcome, TxnRecord};
 pub use serializability::{check_conflict_serializable, SerializabilityError};
-pub use timeline::Timeline;
 pub use timeseries::TimeSeriesSink;

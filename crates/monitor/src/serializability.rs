@@ -2,9 +2,10 @@
 //!
 //! Builds the conflict graph of a committed history — an edge `T1 → T2`
 //! whenever an operation of `T1` precedes (in virtual time) a conflicting
-//! operation of `T2` — and verifies it is acyclic. Every locking protocol
-//! in this repository must produce conflict-serialisable histories; the
-//! integration tests run this checker over whole simulations.
+//! operation of `T2` — and verifies it is acyclic. Simulations check
+//! serialisability online with [`crate::CheckSink`]; this whole-history
+//! checker is the reference model a proptest holds the oracle's
+//! incremental conflict graph against.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;

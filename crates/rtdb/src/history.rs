@@ -1,10 +1,10 @@
 //! Committed-operation histories.
 //!
-//! Every simulation records the data operations its committed transactions
-//! performed, in the real-time order the locks allowed them to happen. The
-//! [`monitor`](../../monitor) crate checks these histories for conflict
-//! serialisability — the correctness bar every protocol must clear
-//! regardless of its timing behaviour.
+//! A history lists the data operations committed transactions performed,
+//! in the real-time order the locks allowed them to happen. The
+//! [`monitor`](../../monitor) crate's offline conflict-serialisability
+//! checker reads one; it is the reference model for the online oracle,
+//! which checks the same property over a simulation's event stream.
 
 use std::fmt;
 
@@ -92,12 +92,6 @@ impl History {
         self.ops.push(op);
     }
 
-    /// Removes every operation of `txn` (it aborted; its effects never
-    /// happened).
-    pub fn expunge(&mut self, txn: TxnId) {
-        self.ops.retain(|op| op.txn != txn);
-    }
-
     /// Number of recorded operations.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -118,33 +112,11 @@ impl History {
 mod tests {
     use super::*;
 
-    fn op(txn: u64, obj: u32, kind: OpKind, at: u64) -> Operation {
-        Operation {
-            txn: TxnId(txn),
-            object: ObjectId(obj),
-            kind,
-            at: SimTime::from_ticks(at),
-            seq: at,
-            site: SiteId(0),
-        }
-    }
-
     #[test]
     fn conflicts() {
         assert!(OpKind::Write.conflicts(OpKind::Read));
         assert!(OpKind::Read.conflicts(OpKind::Write));
         assert!(OpKind::Write.conflicts(OpKind::Write));
         assert!(!OpKind::Read.conflicts(OpKind::Read));
-    }
-
-    #[test]
-    fn expunge_removes_aborted_txn() {
-        let mut h = History::new();
-        h.record(op(1, 0, OpKind::Read, 1));
-        h.record(op(2, 0, OpKind::Write, 2));
-        h.record(op(1, 1, OpKind::Write, 3));
-        h.expunge(TxnId(1));
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.operations()[0].txn, TxnId(2));
     }
 }

@@ -8,28 +8,23 @@
 //! empty stretches of virtual time, and a slab of payloads addressed by
 //! generation-tagged handles so cancellation is an O(1) slot invalidation.
 //! The original binary-heap queue is retained as the executable reference
-//! model ([`crate::queue::HeapQueue`]); building with the `heap-queue`
-//! cargo feature swaps it back in here, and the equivalence proptests
-//! drive both implementations against each other directly.
+//! model ([`crate::queue::HeapQueue`]) that the equivalence proptests drive
+//! against the wheel directly.
 //!
 //! # Determinism
 //!
 //! Events fire in `(time, sequence)` order — a total order, since sequence
 //! numbers are unique — and neither the queue implementation, the slab
 //! layout, the slot reuse policy, nor a tombstone purge can affect it.
-//! Simulation results are byte-identical across both queues; see the
-//! [queue module docs](crate::queue) for the wheel's ordering argument.
+//! See the [queue module docs](crate::queue) for the wheel's ordering
+//! argument.
 
 use std::fmt;
 
 use crate::event::EventId;
 pub use crate::queue::QueueStats;
+use crate::queue::WheelQueue;
 use crate::time::{SimDuration, SimTime};
-
-#[cfg(not(feature = "heap-queue"))]
-type QueueImpl<E> = crate::queue::WheelQueue<E>;
-#[cfg(feature = "heap-queue")]
-type QueueImpl<E> = crate::queue::HeapQueue<E>;
 
 /// A simulation model: the state machine the engine drives.
 ///
@@ -50,11 +45,9 @@ pub trait Model {
 ///
 /// A `Scheduler` is handed to [`Model::handle`] so handlers can read the
 /// clock, schedule future events, and cancel previously scheduled ones.
-/// It is a thin wrapper over the compile-time-selected queue
-/// implementation (timing wheel by default, binary heap under the
-/// `heap-queue` feature).
+/// It is a thin wrapper over the timing-wheel queue.
 pub struct Scheduler<E> {
-    queue: QueueImpl<E>,
+    queue: WheelQueue<E>,
 }
 
 impl<E> fmt::Debug for Scheduler<E> {
@@ -68,7 +61,7 @@ impl<E> fmt::Debug for Scheduler<E> {
 impl<E> Scheduler<E> {
     fn new() -> Self {
         Scheduler {
-            queue: QueueImpl::new(),
+            queue: WheelQueue::new(),
         }
     }
 

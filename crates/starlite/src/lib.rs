@@ -57,7 +57,6 @@ pub mod queue;
 pub mod random;
 pub mod sink;
 pub mod time;
-pub mod trace;
 
 pub use cpu::{
     Completion, Cpu, CpuJournalEntry, CpuJournalKind, CpuPolicy, CpuToken, Removed, StartedBurst,
@@ -71,4 +70,3 @@ pub use queue::{HeapQueue, WheelQueue};
 pub use random::RandomSource;
 pub use sink::{EventSink, NullSink, TeeSink, VecSink};
 pub use time::{SimDuration, SimTime};
-pub use trace::Trace;

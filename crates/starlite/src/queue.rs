@@ -1,11 +1,10 @@
-//! The two event-queue implementations behind [`crate::Scheduler`].
+//! The event queue behind [`crate::Scheduler`] and its reference model.
 //!
 //! [`WheelQueue`] is the production queue: a hierarchical timing wheel
 //! tuned for the dense, mostly near-future timestamps a discrete-event
 //! simulation produces. [`HeapQueue`] is the original binary-heap queue,
-//! retained as the executable reference model: the `heap-queue` cargo
-//! feature swaps it back in behind [`crate::Scheduler`], and the
-//! equivalence proptests drive both types directly against each other.
+//! retained as the executable reference model: the equivalence proptests
+//! and the kernel benches drive both types directly against each other.
 //!
 //! Both queues expose the same API and the same observable semantics:
 //! events fire in `(time, sequence)` order — a total order, since sequence
@@ -168,8 +167,7 @@ fn purge_due(stale_keys: usize, live: usize) -> bool {
 /// Scheduling pushes a three-word [`QueueKey`] onto a min-heap;
 /// cancellation invalidates the slab slot and leaves the key behind as a
 /// tombstone; popping skips tombstones by comparing the key's generation
-/// against the slot's. The `heap-queue` cargo feature rebuilds
-/// [`crate::Scheduler`] (and therefore every simulation) on this queue.
+/// against the slot's.
 pub struct HeapQueue<E> {
     clock: SimTime,
     queue: BinaryHeap<Reverse<QueueKey>>,

@@ -1,13 +1,12 @@
 //! Zero-cost-when-disabled structured event emission.
 //!
 //! The paper's performance monitor records "the time when each event
-//! occurred"; [`crate::Trace`] is the bounded in-kernel half of that. This
-//! module is the *structured* half: simulation models are generic over an
-//! [`EventSink`] and push typed events into it as they happen. The sink is
-//! chosen at monomorphisation time, so a model instantiated with
-//! [`NullSink`] compiles the emission paths down to nothing — `enabled()`
-//! is a `const false` the optimiser folds away, and no event value is ever
-//! constructed.
+//! occurred". This module is how simulations report those events:
+//! simulation models are generic over an [`EventSink`] and push typed
+//! events into it as they happen. The sink is chosen at monomorphisation
+//! time, so a model instantiated with [`NullSink`] compiles the emission
+//! paths down to nothing — `enabled()` is a `const false` the optimiser
+//! folds away, and no event value is ever constructed.
 //!
 //! Layers that cannot see the unified event type (the CPU model here, the
 //! lock table in `rtdb`, the network in `netsim`) instead keep a small

@@ -5,8 +5,10 @@
 //! cargo run --release --example distributed_ceiling
 //! ```
 
-use rtlock::distributed::{CeilingArchitecture, DistributedConfig, DistributedSimulator};
+use rtlock::distributed::{CeilingArchitecture, DistributedConfig};
 use rtlock::prelude::*;
+use rtlock_suite::run_checked;
+use workload::Generator;
 
 fn main() {
     let catalog = Catalog::new(90, 3, Placement::FullyReplicated);
@@ -34,9 +36,9 @@ fn main() {
                 .cpu_per_object(SimDuration::from_ticks(1_000))
                 .apply_cost(SimDuration::from_ticks(100))
                 .build();
-            let report = DistributedSimulator::new(config, catalog.clone(), &workload).run(11);
-            check_conflict_serializable(report.monitor.history())
-                .expect("distributed histories must be serialisable per copy");
+            // The oracle checks per-copy serialisability as the run goes.
+            let txns = Generator::new(&workload, &catalog).generate(11);
+            let report = run_checked(config, &catalog, txns).report;
             println!(
                 "{:>6} {:>8} {:>10.0} {:>9.1} {:>10}",
                 delay_ticks,

@@ -12,7 +12,11 @@
 //! ```
 
 use monitor::plot::{render, Series};
+use monitor::TimeSeriesSink;
 use rtlock::prelude::*;
+
+/// Width of one plotted window, in ticks (200 ms).
+const WINDOW_TICKS: u64 = 200_000;
 
 fn main() {
     let catalog = Catalog::new(120, 1, Placement::SingleSite);
@@ -33,7 +37,6 @@ fn main() {
             .cpu_per_object(SimDuration::from_ticks(1_000))
             .io_per_object(SimDuration::from_ticks(500))
             .restart_victims(false)
-            .timeline_window(SimDuration::from_ticks(200_000))
             .build();
         // Build the scenario by hand: the steady stream plus a burst.
         let cat = catalog.clone();
@@ -52,8 +55,8 @@ fn main() {
                 SiteId(0),
             ));
         }
-        let report = run_transactions(config, &cat, txns);
-        let timeline = report.monitor.timeline().expect("enabled");
+        let mut timeline = TimeSeriesSink::new(WINDOW_TICKS);
+        let report = run_transactions_with(config, &cat, txns, &mut timeline);
         println!(
             "{:<24} committed={} missed={} ({:.1}%)",
             format!("{kind:?}"),
@@ -61,10 +64,24 @@ fn main() {
             report.stats.missed,
             report.stats.pct_missed
         );
-        series.push(Series::new(
-            kind.label().to_string(),
-            timeline.miss_pct_series(),
-        ));
+        // Victims do not restart here, so a deadlock abort is as final as
+        // a deadline miss: both count as lost.
+        let miss_pct = timeline
+            .windows()
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let lost = w.misses + w.restarts;
+                let processed = w.commits + lost;
+                let pct = if processed == 0 {
+                    0.0
+                } else {
+                    100.0 * lost as f64 / processed as f64
+                };
+                (i as f64, pct)
+            })
+            .collect();
+        series.push(Series::new(kind.label().to_string(), miss_pct));
     }
 
     println!("\n%missed per 200ms window (burst arrives around window 8):\n");

@@ -6,6 +6,8 @@
 //! ```
 
 use rtlock::prelude::*;
+use rtlock_suite::run_checked;
+use workload::Generator;
 
 fn main() {
     // A 200-object database at one site (the paper's §3 setting).
@@ -29,7 +31,12 @@ fn main() {
         .io_per_object(SimDuration::from_ticks(500))
         .build();
 
-    let report = Simulator::new(config, catalog, &workload).run(42);
+    // Run under the invariant oracle, which checks conflict
+    // serialisability (and every other protocol invariant) as it goes.
+    let txns = Generator::new(&workload, &catalog).generate(42);
+    let run = run_checked(config, &catalog, txns);
+    run.check_store_integrity();
+    let report = &run.report;
 
     println!("protocol          : priority ceiling (the paper's `C`)");
     println!("processed         : {}", report.stats.processed);
@@ -55,9 +62,5 @@ fn main() {
         "deadlocks         : {} (the ceiling protocol never deadlocks)",
         report.deadlocks
     );
-
-    // The committed history is conflict serialisable — verify it.
-    check_conflict_serializable(report.monitor.history()).expect("history must be serialisable");
-    check_store_integrity(&report);
     println!("serialisability   : verified");
 }

@@ -11,8 +11,10 @@
 //! ```
 
 use rtdb::ObjectId;
-use rtlock::distributed::{CeilingArchitecture, DistributedConfig, DistributedSimulator};
+use rtlock::distributed::{CeilingArchitecture, DistributedConfig};
 use rtlock::prelude::*;
+use rtlock_suite::run_checked;
+use workload::Generator;
 
 fn main() {
     // 30 tracks per station, fully replicated across 3 stations.
@@ -58,7 +60,9 @@ fn main() {
         .apply_cost(SimDuration::from_ticks(100))
         .build();
 
-    let report = DistributedSimulator::new(config, catalog, &workload).run(7);
+    // The oracle checks serialisability as the run goes.
+    let txns = Generator::new(&workload, &catalog).generate(7);
+    let report = run_checked(config, &catalog, txns).report;
 
     println!("tracking scenario : 3 stations, periodic track updates + queries");
     println!("processed         : {}", report.stats.processed);
@@ -82,6 +86,5 @@ fn main() {
             .count();
         println!("station {i}        : {lagging} tracks differ from station 0");
     }
-    check_conflict_serializable(report.monitor.history()).expect("history must be serialisable");
     println!("serialisability   : verified");
 }

@@ -6,6 +6,8 @@ use rtlock::distributed::{
     run_transactions_distributed, CeilingArchitecture, DistributedConfig, DistributedSimulator,
 };
 use rtlock::prelude::*;
+use rtlock_suite::run_checked;
+use workload::Generator;
 
 fn catalog() -> Catalog {
     Catalog::new(60, 3, Placement::FullyReplicated)
@@ -35,14 +37,13 @@ fn workload(read_only: f64) -> WorkloadSpec {
 fn local_architecture_converges_all_replicas() {
     let cat = catalog();
     for seed in 0..3 {
-        let report = DistributedSimulator::new(
+        let txns = Generator::new(&workload(0.4), &cat).generate(seed);
+        let report = run_checked(
             config(CeilingArchitecture::LocalReplicated, 400),
-            cat.clone(),
-            &workload(0.4),
+            &cat,
+            txns,
         )
-        .run(seed);
-        check_conflict_serializable(report.monitor.history())
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        .report;
         // Once propagation drains, every replica of every object holds the
         // primary's version (single-writer ordering guarantees no splits).
         let primary_of = |o: ObjectId| cat.primary_site(o);
@@ -65,41 +66,87 @@ fn local_architecture_converges_all_replicas() {
 #[test]
 fn local_writes_happen_only_at_primaries() {
     let cat = catalog();
-    let report = DistributedSimulator::new(
+    let txns = Generator::new(&workload(0.0), &cat).generate(9);
+    let run = run_checked(
         config(CeilingArchitecture::LocalReplicated, 300),
-        cat.clone(),
-        &workload(0.0),
-    )
-    .run(9);
-    for op in report.monitor.history().operations() {
-        if op.kind == rtdb::OpKind::Write && op.txn.0 < (1 << 48) {
-            assert_eq!(
-                cat.primary_site(op.object),
-                op.site,
-                "workload write to a non-primary copy"
-            );
-        }
-    }
-    assert!(report.stats.committed > 0);
+        &cat,
+        txns,
+    );
+    // Every version is created at its primary copy; other sites only
+    // ever install it later, by propagation.
+    assert!(run.check_installs_originate_at_primaries() > 0);
+    assert!(run.report.stats.committed > 0);
+}
+
+#[test]
+#[should_panic(expected = "installed at")]
+fn install_checker_rejects_a_reused_version_by_another_writer() {
+    let cat = catalog();
+    let txns = Generator::new(&workload(0.0), &cat).generate(9);
+    let mut run = run_checked(
+        config(CeilingArchitecture::LocalReplicated, 300),
+        &cat,
+        txns,
+    );
+    // A write at a non-primary site that reuses a version number the
+    // primary already installed, under another writer.
+    let (object, version, writer) = run
+        .events
+        .iter()
+        .find_map(|(_, e)| match e.kind {
+            SimEventKind::VersionInstalled {
+                object,
+                version,
+                writer,
+            } => Some((object, version, writer)),
+            _ => None,
+        })
+        .expect("the run installs versions");
+    let elsewhere = SiteId((cat.primary_site(object).0 + 1) % cat.site_count());
+    let at = run.events.last().unwrap().0;
+    run.events.push((
+        at,
+        SimEvent::new(
+            elsewhere,
+            SimEventKind::VersionInstalled {
+                object,
+                version,
+                writer: TxnId(writer.0 + 1),
+            },
+        ),
+    ));
+    run.check_installs_originate_at_primaries();
+}
+
+#[test]
+#[should_panic(expected = "written at non-primary site")]
+fn store_checker_rejects_a_global_write_through_to_a_replica() {
+    let cat = catalog();
+    let txns = Generator::new(&workload(0.5), &cat).generate(4);
+    let mut run = run_checked(config(CeilingArchitecture::GlobalManager, 250), &cat, txns);
+    // Under the global manager only primaries are written; a copy of
+    // object 0 at any other site must stay at version 0.
+    let object = ObjectId(0);
+    let elsewhere = (cat.primary_site(object).index() + 1) % cat.site_count() as usize;
+    run.report.stores[elsewhere].apply_write(object, 1, TxnId(0), SimTime::ZERO);
+    run.check_store_integrity();
 }
 
 #[test]
 fn global_architecture_is_serialisable_and_atomic() {
     let cat = catalog();
     for delay in [0u64, 250, 750] {
-        let report = DistributedSimulator::new(
+        let txns = Generator::new(&workload(0.5), &cat).generate(4);
+        let run = run_checked(
             config(CeilingArchitecture::GlobalManager, delay),
-            cat.clone(),
-            &workload(0.5),
-        )
-        .run(4);
-        check_conflict_serializable(report.monitor.history())
-            .unwrap_or_else(|e| panic!("delay {delay}: {e}"));
+            &cat,
+            txns,
+        );
         // 2PC atomicity: every object's version equals the committed
-        // writes recorded against it at its primary site.
-        check_store_integrity(&report);
+        // writes against it at its primary site.
+        run.check_store_integrity();
         assert!(
-            report.stats.processed == 200,
+            run.report.stats.processed == 200,
             "delay {delay} lost transactions"
         );
     }

@@ -2,8 +2,14 @@
 //! lock-upgrade deadlocks, grant/abort message crossings, and restart
 //! storms.
 
-use rtlock::distributed::{run_transactions_distributed, CeilingArchitecture, DistributedConfig};
+use monitor::TimeSeriesSink;
+use rtlock::distributed::{
+    run_transactions_distributed, run_transactions_distributed_with, CeilingArchitecture,
+    DistributedConfig,
+};
 use rtlock::prelude::*;
+use rtlock_suite::run_checked;
+use workload::Generator;
 
 fn dist_config(delay: u64) -> DistributedConfig {
     DistributedConfig::builder()
@@ -33,14 +39,17 @@ fn deadline_during_2pc_voting_aborts_cleanly() {
         SimTime::from_ticks(5_000),
         SiteId(1),
     )];
-    let report = run_transactions_distributed(dist_config(800), &dist_catalog(), txns);
-    assert_eq!(report.stats.missed, 1);
-    assert_eq!(report.stats.committed, 0);
+    let run = run_checked(dist_config(800), &dist_catalog(), txns);
+    assert_eq!(run.report.stats.missed, 1);
+    assert_eq!(run.report.stats.committed, 0);
     // The abort retracted everything: no committed writes anywhere.
-    for store in &report.stores {
+    for store in &run.report.stores {
         assert!(store.iter().all(|(_, o)| o.version == 0));
     }
-    assert!(report.monitor.history().is_empty());
+    assert!(!run
+        .events
+        .iter()
+        .any(|(_, e)| matches!(e.kind, SimEventKind::VersionInstalled { .. })));
 }
 
 #[test]
@@ -57,8 +66,14 @@ fn deadline_after_commit_decision_completes_but_counts_missed() {
         SimTime::from_ticks(3_900),
         SiteId(1),
     )];
-    let report = run_transactions_distributed(dist_config(400), &dist_catalog(), txns);
+    let run = run_checked(dist_config(400), &dist_catalog(), txns);
+    let report = &run.report;
     assert_eq!(report.stats.processed, 1);
+    let installs = run
+        .events
+        .iter()
+        .filter(|(_, e)| matches!(e.kind, SimEventKind::VersionInstalled { .. }))
+        .count();
     if report.stats.missed == 1 {
         // The decided commit stands physically.
         let s1 = &report.stores[1];
@@ -66,17 +81,17 @@ fn deadline_after_commit_decision_completes_but_counts_missed() {
             s1.read(ObjectId(4)).version + s1.read(ObjectId(7)).version,
             2
         );
-        // And the history records the applied writes (the checker and the
-        // store agree).
-        assert_eq!(report.monitor.history().len(), 2);
+        // And both writes were installed (the event stream and the store
+        // agree).
+        assert_eq!(installs, 2);
     } else {
         // If the timing resolved the acks before the deadline the commit
         // is simply on time — also legal; the test pins the invariant
-        // that store and history always agree.
+        // that store and installed versions always agree.
         assert_eq!(report.stats.committed, 1);
-        assert_eq!(report.monitor.history().len(), 2);
+        assert_eq!(installs, 2);
     }
-    check_store_integrity(&report);
+    run.check_store_integrity();
 }
 
 #[test]
@@ -114,14 +129,16 @@ fn upgrade_deadlock_between_two_readers_is_broken() {
             SiteId(0),
         ),
     ];
-    let report = run_transactions(config, &catalog, txns);
+    let run = run_checked(config, &catalog, txns);
     assert_eq!(
-        report.stats.committed, 2,
+        run.report.stats.committed, 2,
         "both must commit after resolution"
     );
-    assert!(report.deadlocks >= 1, "the crossing writes must deadlock");
-    check_conflict_serializable(report.monitor.history()).expect("serialisable");
-    check_store_integrity(&report);
+    assert!(
+        run.report.deadlocks >= 1,
+        "the crossing writes must deadlock"
+    );
+    run.check_store_integrity();
 }
 
 #[test]
@@ -143,13 +160,13 @@ fn restart_storm_preserves_value_integrity() {
         .io_per_object(SimDuration::from_ticks(100))
         .restart_victims(true)
         .build();
-    let report = Simulator::new(config, catalog, &workload).run(7);
+    let txns = Generator::new(&workload, &catalog).generate(7);
+    let run = run_checked(config, &catalog, txns);
     assert!(
-        report.stats.restarts > 0,
+        run.report.stats.restarts > 0,
         "the workload must trigger restarts"
     );
-    check_store_integrity(&report);
-    check_conflict_serializable(report.monitor.history()).expect("serialisable");
+    run.check_store_integrity();
 }
 
 #[test]
@@ -158,7 +175,6 @@ fn distributed_timeline_collects_windows() {
         .architecture(CeilingArchitecture::LocalReplicated)
         .comm_delay(SimDuration::from_ticks(200))
         .cpu_per_object(SimDuration::from_ticks(300))
-        .timeline_window(SimDuration::from_ticks(5_000))
         .build();
     let workload = WorkloadSpec::builder()
         .txn_count(60)
@@ -167,12 +183,12 @@ fn distributed_timeline_collects_windows() {
         .read_only_fraction(0.5)
         .deadline(20.0, SimDuration::from_ticks(300))
         .build();
-    let report =
-        rtlock::distributed::DistributedSimulator::new(config, dist_catalog(), &workload).run(4);
-    let timeline = report.monitor.timeline().expect("enabled");
-    assert!(!timeline.windows().is_empty());
-    let total: u32 = timeline.windows().iter().map(|w| w.committed).sum();
-    assert_eq!(total, report.stats.committed);
+    let txns = Generator::new(&workload, &dist_catalog()).generate(4);
+    let mut timeline = TimeSeriesSink::new(5_000);
+    let report = run_transactions_distributed_with(config, &dist_catalog(), txns, &mut timeline);
+    assert!(timeline.windows().len() > 1);
+    let total: u64 = timeline.windows().iter().map(|w| w.commits).sum();
+    assert_eq!(total, u64::from(report.stats.committed));
 }
 
 #[test]

@@ -5,6 +5,8 @@
 use netsim::Topology;
 use rtlock::distributed::{CeilingArchitecture, DistributedConfig, DistributedSimulator};
 use rtlock::prelude::*;
+use rtlock_suite::run_checked;
+use workload::Generator;
 
 // ---- timestamp ordering -------------------------------------------------
 
@@ -24,10 +26,10 @@ fn timestamp_ordering_is_serializable_and_never_blocks() {
         .io_per_object(SimDuration::from_ticks(500))
         .build();
     for seed in 0..4 {
-        let report = Simulator::new(config, catalog.clone(), &workload).run(seed);
-        check_conflict_serializable(report.monitor.history())
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        check_store_integrity(&report);
+        let txns = Generator::new(&workload, &catalog).generate(seed);
+        let run = run_checked(config, &catalog, txns);
+        run.check_store_integrity();
+        let report = run.report;
         assert_eq!(report.stats.processed, 250);
         // T/O resolves conflicts by restart, not by blocking: blocked time
         // is zero for every transaction.
@@ -51,9 +53,9 @@ fn timestamp_ordering_restarts_on_conflict() {
         .cpu_per_object(SimDuration::from_ticks(1_000))
         .io_per_object(SimDuration::from_ticks(500))
         .build();
-    let report = Simulator::new(config, catalog, &workload).run(2);
+    let txns = Generator::new(&workload, &catalog).generate(2);
+    let report = run_checked(config, &catalog, txns).report;
     assert!(report.stats.restarts > 0, "conflicts must trigger restarts");
-    check_conflict_serializable(report.monitor.history()).expect("serialisable");
 }
 
 // ---- topology ------------------------------------------------------------
@@ -106,7 +108,8 @@ fn bounded_io_parallelism_degrades_two_phase_locking() {
         .cpu_per_object(SimDuration::from_ticks(1_000))
         .io_per_object(SimDuration::from_ticks(2_000));
     let parallel = Simulator::new(base.clone().build(), catalog.clone(), &workload).run(1);
-    let single_disk = Simulator::new(base.io_parallelism(1).build(), catalog, &workload).run(1);
+    let txns = Generator::new(&workload, &catalog).generate(1);
+    let single_disk = run_checked(base.io_parallelism(1).build(), &catalog, txns).report;
     // One disk at 2000 ticks per fetch cannot carry 8 objects per 12000
     // ticks once transactions overlap; misses must rise.
     assert!(
@@ -115,7 +118,6 @@ fn bounded_io_parallelism_degrades_two_phase_locking() {
         single_disk.stats.missed,
         parallel.stats.missed
     );
-    check_conflict_serializable(single_disk.monitor.history()).expect("serialisable");
 }
 
 // ---- temporal consistency --------------------------------------------------
@@ -213,16 +215,15 @@ fn coarse_granularity_serialises_more_but_stays_correct() {
             .io_per_object(SimDuration::from_ticks(500))
             .lock_granularity(granularity)
             .build();
-        Simulator::new(config, catalog.clone(), &workload).run(3)
+        let txns = Generator::new(&workload, &catalog).generate(3);
+        let run = run_checked(config, &catalog, txns);
+        // Correctness is granularity-independent.
+        run.check_store_integrity();
+        assert_eq!(run.report.stats.processed, 200);
+        run.report
     };
     let fine = run(1);
     let coarse = run(10);
-    // Correctness is granularity-independent.
-    for report in [&fine, &coarse] {
-        check_conflict_serializable(report.monitor.history()).expect("serialisable");
-        check_store_integrity(report);
-        assert_eq!(report.stats.processed, 200);
-    }
     // Coarser granules create false conflicts: blocking can only grow.
     assert!(
         coarse.stats.mean_blocked_ticks >= fine.stats.mean_blocked_ticks,
@@ -250,7 +251,7 @@ fn single_granule_database_is_fully_serial() {
         .io_per_object(SimDuration::from_ticks(500))
         .lock_granularity(20)
         .build();
-    let report = Simulator::new(config, catalog, &workload).run(1);
+    let txns = Generator::new(&workload, &catalog).generate(1);
+    let report = run_checked(config, &catalog, txns).report;
     assert_eq!(report.deadlocks, 0, "one lock cannot deadlock");
-    check_conflict_serializable(report.monitor.history()).expect("serialisable");
 }

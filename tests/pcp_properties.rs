@@ -8,6 +8,7 @@
 //!    transaction accumulates two distinct lower-priority blockers.
 
 use rtlock::prelude::*;
+use rtlock_suite::run_checked;
 
 fn config(kind: ProtocolKind) -> SingleSiteConfig {
     SingleSiteConfig::builder()
@@ -91,13 +92,13 @@ fn static_transaction_set_blocks_at_most_once() {
     ];
     let report = run_transactions(config(ProtocolKind::PriorityCeiling), &catalog, txns);
     assert_eq!(report.stats.committed, 3);
-    let t1 = report.monitor.record(TxnId(1)).expect("registered");
     // Under 2PL T1 would wait once for T2 (O1) and once for T3 (O2); the
-    // ceiling protocol bounds it to a single lower-priority blocker.
+    // ceiling protocol bounds every transaction to a single lower-priority
+    // blocker.
     assert!(
-        t1.lower_priority_blockers.len() <= 1,
-        "T1 blocked by {:?}",
-        t1.lower_priority_blockers
+        report.stats.max_lower_priority_blockers <= 1,
+        "{} distinct lower-priority blockers",
+        report.stats.max_lower_priority_blockers
     );
 }
 
@@ -191,16 +192,21 @@ fn paper_example_ceiling_blocks_medium_transaction() {
             SiteId(0),
         ),
     ];
-    let report = run_transactions(config(ProtocolKind::PriorityCeiling), &catalog, txns);
-    assert_eq!(report.stats.committed, 3);
-    assert!(report.ceiling_blocks >= 1, "T2 should be ceiling blocked");
-    // T2 was blocked by the lower-priority T3 — but only once.
-    let t2 = report.monitor.record(TxnId(2)).expect("registered");
-    assert!(t2.lower_priority_blockers.len() <= 1);
-    // Commit order respects priority: T1 before T2.
-    let t1 = report.monitor.record(TxnId(1)).expect("registered");
+    let run = run_checked(config(ProtocolKind::PriorityCeiling), &catalog, txns);
+    assert_eq!(run.report.stats.committed, 3);
     assert!(
-        t1.finish.unwrap() < t2.finish.unwrap(),
-        "T1 must finish before T2"
+        run.report.ceiling_blocks >= 1,
+        "T2 should be ceiling blocked"
     );
+    // T2 was blocked by the lower-priority T3 — but only once.
+    assert!(run.report.stats.max_lower_priority_blockers <= 1);
+    // Commit order respects priority: T1 before T2.
+    let order = run.committed();
+    let pos = |t: u64| {
+        order
+            .iter()
+            .position(|&c| c == TxnId(t))
+            .expect("committed")
+    };
+    assert!(pos(1) < pos(2), "T1 must finish before T2: {order:?}");
 }

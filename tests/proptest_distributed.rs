@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 use rtlock::distributed::{run_transactions_distributed, CeilingArchitecture, DistributedConfig};
 use rtlock::prelude::*;
+use rtlock_suite::run_checked;
 
 const SITES: u8 = 3;
 const DB: u32 = 12;
@@ -90,13 +91,8 @@ proptest! {
             CeilingArchitecture::LocalReplicated,
             CeilingArchitecture::GlobalManager,
         ] {
-            let a = run_transactions_distributed(
-                config(arch, scenario.delay),
-                &catalog,
-                scenario.txns.clone(),
-            );
-            check_conflict_serializable(a.monitor.history())
-                .map_err(|e| TestCaseError::fail(format!("{arch:?}: {e}")))?;
+            let a = run_checked(config(arch, scenario.delay), &catalog, scenario.txns.clone())
+                .report;
             prop_assert_eq!(a.stats.processed as usize, scenario.txns.len());
             let b = run_transactions_distributed(
                 config(arch, scenario.delay),
@@ -114,11 +110,12 @@ proptest! {
     #[test]
     fn local_replicas_converge(scenario in scenario_strategy()) {
         let catalog = Catalog::new(DB, SITES, Placement::FullyReplicated);
-        let report = run_transactions_distributed(
+        let run = run_checked(
             config(CeilingArchitecture::LocalReplicated, scenario.delay),
             &catalog,
             scenario.txns.clone(),
         );
+        let report = &run.report;
         for (id, _) in report.stores[0].iter() {
             let primary = catalog.primary_site(id);
             let truth = report.stores[primary.index()].read(id);
@@ -128,11 +125,9 @@ proptest! {
                 prop_assert_eq!(replica.value, truth.value);
             }
         }
-        for op in report.monitor.history().operations() {
-            if op.kind == rtdb::OpKind::Write && op.txn.0 < (1 << 48) {
-                prop_assert_eq!(catalog.primary_site(op.object), op.site);
-            }
-        }
+        // A version is first installed at its primary; replicas follow.
+        run.check_installs_originate_at_primaries();
+        run.check_store_integrity();
     }
 
     /// Global architecture: store versions equal committed write counts
@@ -140,11 +135,11 @@ proptest! {
     #[test]
     fn global_writes_are_atomic(scenario in scenario_strategy()) {
         let catalog = Catalog::new(DB, SITES, Placement::FullyReplicated);
-        let report = run_transactions_distributed(
+        run_checked(
             config(CeilingArchitecture::GlobalManager, scenario.delay),
             &catalog,
             scenario.txns.clone(),
-        );
-        check_store_integrity(&report);
+        )
+        .check_store_integrity();
     }
 }

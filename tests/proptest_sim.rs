@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use rtlock::prelude::*;
+use rtlock_suite::run_checked;
 
 /// A compact random scenario: up to 10 transactions over 8 objects.
 #[derive(Debug, Clone)]
@@ -72,10 +73,9 @@ proptest! {
     ) {
         let catalog = Catalog::new(8, 1, Placement::SingleSite);
         for kind in ProtocolKind::all() {
-            let a = run_transactions(config(kind, restart), &catalog, scenario.txns.clone());
-            check_conflict_serializable(a.monitor.history())
-                .map_err(|e| TestCaseError::fail(format!("{kind}: {e}")))?;
-            check_store_integrity(&a);
+            let checked = run_checked(config(kind, restart), &catalog, scenario.txns.clone());
+            checked.check_store_integrity();
+            let a = checked.report;
             prop_assert_eq!(
                 a.stats.processed as usize,
                 scenario.txns.len(),
@@ -107,22 +107,20 @@ proptest! {
     #[test]
     fn increments_are_never_lost_or_doubled(scenario in scenario_strategy()) {
         let catalog = Catalog::new(8, 1, Placement::SingleSite);
-        let report = run_transactions(
+        let run = run_checked(
             config(ProtocolKind::TwoPhaseLocking, true),
             &catalog,
             scenario.txns.clone(),
         );
-        // Count committed writes per object from the monitor's records.
+        // Count committed writes per object from the commit events.
         let mut expected = [0u64; 8];
-        for r in report.monitor.records() {
-            if r.outcome == Outcome::Committed {
-                let spec = scenario.txns.iter().find(|t| t.id == r.txn).expect("spec");
-                for w in &spec.write_set {
-                    expected[w.0 as usize] += 1;
-                }
+        for txn in run.committed() {
+            let spec = scenario.txns.iter().find(|t| t.id == txn).expect("spec");
+            for w in &spec.write_set {
+                expected[w.0 as usize] += 1;
             }
         }
-        for (id, obj) in report.stores[0].iter() {
+        for (id, obj) in run.report.stores[0].iter() {
             prop_assert_eq!(obj.value, expected[id.0 as usize], "object {}", id);
             prop_assert_eq!(obj.version, expected[id.0 as usize]);
         }

@@ -3,6 +3,8 @@
 //! conflicting load.
 
 use rtlock::prelude::*;
+use rtlock_suite::run_checked;
+use workload::Generator;
 
 fn heavy_workload(size: u32, read_only: f64) -> WorkloadSpec {
     WorkloadSpec::builder()
@@ -30,13 +32,11 @@ fn all_protocols_yield_serializable_histories_under_conflict() {
     let workload = heavy_workload(12, 0.2);
     for kind in ProtocolKind::all() {
         for restart in [true, false] {
-            let sim = Simulator::new(config(kind, restart), catalog.clone(), &workload);
             for seed in 0..3 {
-                let report = sim.run(seed);
-                check_conflict_serializable(report.monitor.history())
-                    .unwrap_or_else(|e| panic!("{kind} restart={restart} seed={seed}: {e}"));
-                check_store_integrity(&report);
-                assert_eq!(report.stats.processed, 250, "{kind} lost transactions");
+                let txns = Generator::new(&workload, &catalog).generate(seed);
+                let run = run_checked(config(kind, restart), &catalog, txns);
+                run.check_store_integrity();
+                assert_eq!(run.report.stats.processed, 250, "{kind} lost transactions");
             }
         }
     }
@@ -47,22 +47,20 @@ fn runs_are_bit_deterministic() {
     let catalog = Catalog::new(100, 1, Placement::SingleSite);
     let workload = heavy_workload(10, 0.3);
     for kind in ProtocolKind::all() {
-        let sim = Simulator::new(config(kind, true), catalog.clone(), &workload);
-        let a = sim.run(99);
-        let b = sim.run(99);
+        let run = || {
+            let txns = Generator::new(&workload, &catalog).generate(99);
+            run_checked(config(kind, true), &catalog, txns)
+        };
+        let (a, b) = (run(), run());
         assert_eq!(
-            a.stats, b.stats,
+            a.report.stats, b.report.stats,
             "{kind} stats differ across identical runs"
         );
-        assert_eq!(a.deadlocks, b.deadlocks);
-        assert_eq!(a.ceiling_blocks, b.ceiling_blocks);
-        assert_eq!(a.preemptions, b.preemptions);
-        assert_eq!(a.stores, b.stores, "{kind} stores differ");
-        assert_eq!(
-            a.monitor.history().operations(),
-            b.monitor.history().operations(),
-            "{kind} histories differ"
-        );
+        assert_eq!(a.report.deadlocks, b.report.deadlocks);
+        assert_eq!(a.report.ceiling_blocks, b.report.ceiling_blocks);
+        assert_eq!(a.report.preemptions, b.report.preemptions);
+        assert_eq!(a.report.stores, b.report.stores, "{kind} stores differ");
+        assert_eq!(a.events, b.events, "{kind} event streams differ");
     }
 }
 
@@ -70,16 +68,13 @@ fn runs_are_bit_deterministic() {
 fn different_seeds_differ() {
     let catalog = Catalog::new(100, 1, Placement::SingleSite);
     let workload = heavy_workload(10, 0.3);
-    let sim = Simulator::new(
-        config(ProtocolKind::PriorityCeiling, true),
-        catalog,
-        &workload,
-    );
-    let a = sim.run(1);
-    let b = sim.run(2);
+    let run = |seed| {
+        let txns = Generator::new(&workload, &catalog).generate(seed);
+        run_checked(config(ProtocolKind::PriorityCeiling, true), &catalog, txns)
+    };
     assert_ne!(
-        a.monitor.history().operations(),
-        b.monitor.history().operations(),
+        run(1).events,
+        run(2).events,
         "distinct seeds should explore distinct schedules"
     );
 }
@@ -117,8 +112,8 @@ fn aborted_transactions_leave_no_trace_in_history_or_store() {
         SimTime::from_ticks(100), // needs 2 × 1500 ticks
         SiteId(0),
     )];
-    let report = run_transactions(config(ProtocolKind::PriorityCeiling, true), &catalog, txns);
-    assert_eq!(report.stats.missed, 1);
-    assert!(report.monitor.history().is_empty());
-    assert!(report.stores[0].iter().all(|(_, o)| o.version == 0));
+    let run = run_checked(config(ProtocolKind::PriorityCeiling, true), &catalog, txns);
+    assert_eq!(run.report.stats.missed, 1);
+    assert!(run.committed().is_empty());
+    assert!(run.report.stores[0].iter().all(|(_, o)| o.version == 0));
 }
