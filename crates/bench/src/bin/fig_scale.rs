@@ -5,7 +5,8 @@
 //!
 //! Unlike `fig2`…`fig6` this binary measures the *simulator*, not the
 //! protocols: the figures it feeds are BENCH_SWEEP.json throughput
-//! entries, and its regression gate is `scripts/perf_smoke.sh`.
+//! entries. `scripts/perf_smoke.sh` runs its smoke mode under the oracle;
+//! the script's events/sec gate is on `all_figures`.
 //!
 //! Usage: `fig_scale [--smoke]`
 //!

@@ -24,16 +24,20 @@
 //! treats every lock as exclusive, making the rw-ceiling always equal to
 //! the absolute ceiling.
 
+use std::cmp::Reverse;
 use std::fmt;
 
 use monitor::SimEventKind;
 use rtdb::{InlineVec, LockMode, ObjectId, TxnId, TxnSpec};
 use starlite::{FxHashMap, Priority};
 
-use crate::protocols::inheritance::{diff_updates, effective_priorities_into};
+use crate::protocols::inheritance::effective_priorities;
 use crate::protocols::{
     LockProtocol, ReleaseReason, ReleaseResult, RequestOutcome, RequestResult, Wakeup,
 };
+
+#[cfg(test)]
+mod reference;
 
 /// Lock semantics of the ceiling protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,13 +90,25 @@ struct Locked {
     holders: InlineVec<TxnId, 2>,
 }
 
+/// A request waiting for admission. Only entrants block, so the waiter
+/// holds no lock.
 #[derive(Debug)]
 struct BlockedReq {
     txn: TxnId,
     object: ObjectId,
     mode: LockMode,
+    /// The waiter's base priority, the queue's primary key.
+    priority: Priority,
+    /// Arrival order, the FIFO tiebreak among equal priorities.
     seq: u64,
+    /// The blocked-by edges: the gate-1 conflictors sorted ascending, or
+    /// the holders of the system-ceiling lock in acquisition order.
+    blockers: Vec<TxnId>,
 }
+
+/// A locked object's rw-ceiling keyed for the system-ceiling argmax: the
+/// highest ceiling wins, ties go to the lowest object id.
+type CeilingKey = (Priority, Reverse<ObjectId>);
 
 /// Which admission gate denied a request — distinguishes an ordinary lock
 /// conflict (gate 1) from the paper's ceiling rule (gate 2) so the event
@@ -114,26 +130,28 @@ pub struct PriorityCeilingProtocol {
     accessors: FxHashMap<ObjectId, InlineVec<(TxnId, Priority), 4>>,
     locked: FxHashMap<ObjectId, Locked>,
     held_by: FxHashMap<TxnId, InlineVec<ObjectId, 8>>,
+    /// Blocked requests in wake order: base priority descending, then
+    /// FIFO.
     blocked: Vec<BlockedReq>,
-    blocked_edges: FxHashMap<TxnId, Vec<TxnId>>,
     base: FxHashMap<TxnId, Priority>,
     effective: FxHashMap<TxnId, Priority>,
+    /// Transactions running above their base priority, ascending: the
+    /// only ones besides current blockers a recompute can change.
+    raised: Vec<TxnId>,
     next_seq: u64,
     ceiling_blocks: u64,
     trace: bool,
     journal: Vec<SimEventKind>,
-    /// `effective` currently differs from `base` for at least one
-    /// transaction. While false and no blocked-by edges exist, a
-    /// recompute is a provable no-op and is skipped.
-    boosted: bool,
-    /// Reusable buffers for [`Self::admission_check`] / [`Self::wake_pass`]
-    /// so the granted path allocates nothing.
+    /// Reusable buffers for admission, the wake pass and the inheritance
+    /// recompute, so the granted path allocates nothing.
     scratch_txns: Vec<TxnId>,
     scratch_blockers: Vec<TxnId>,
-    scratch_order: Vec<usize>,
-    /// Holds the previous effective assignment between recomputes; its
-    /// allocation is recycled through [`diff_updates`]'s map swap.
-    scratch_eff: FxHashMap<TxnId, Priority>,
+    scratch_targets: Vec<(TxnId, Priority, Priority)>,
+    /// Runs the differential tests' reference model instead: full-scan
+    /// admission, the restart-scan wake pass and the from-scratch
+    /// inheritance fixpoint.
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl fmt::Debug for PriorityCeilingProtocol {
@@ -168,18 +186,18 @@ impl PriorityCeilingProtocol {
             locked: FxHashMap::default(),
             held_by: FxHashMap::default(),
             blocked: Vec::new(),
-            blocked_edges: FxHashMap::default(),
             base: FxHashMap::default(),
             effective: FxHashMap::default(),
+            raised: Vec::new(),
             next_seq: 0,
             ceiling_blocks: 0,
             trace: false,
             journal: Vec::new(),
-            boosted: false,
             scratch_txns: Vec::new(),
             scratch_blockers: Vec::new(),
-            scratch_order: Vec::new(),
-            scratch_eff: FxHashMap::default(),
+            scratch_targets: Vec::new(),
+            #[cfg(test)]
+            reference: false,
         }
     }
 
@@ -205,14 +223,6 @@ impl PriorityCeilingProtocol {
     /// registration message may arrive twice or not at all.
     pub fn is_registered(&self, txn: TxnId) -> bool {
         self.active.contains_key(&txn)
-    }
-
-    /// Whether `txn` currently has a blocked request queued. A retried
-    /// lock RPC for such a transaction must not re-enter [`Self::request`]
-    /// (which treats a double request as a protocol violation); the
-    /// distributed manager re-acknowledges the pending state instead.
-    pub fn is_blocked(&self, txn: TxnId) -> bool {
-        self.blocked.iter().any(|b| b.txn == txn)
     }
 
     /// Number of objects currently locked.
@@ -262,6 +272,17 @@ impl PriorityCeilingProtocol {
             (CeilingSemantics::Exclusive, _) | (_, LockMode::Write) => self.absolute_ceiling(obj),
             (CeilingSemantics::ReadWrite, LockMode::Read) => self.write_ceiling(obj),
         }
+    }
+
+    /// The system ceiling: the highest rw-ceiling over all locked
+    /// objects, with its object; `None` while nothing is locked. An
+    /// entrant holds no lock, so this is the shield gate 2 tests it
+    /// against.
+    fn system_ceiling(&self) -> Option<CeilingKey> {
+        self.locked
+            .iter()
+            .map(|(&obj, lock)| (self.rw_ceiling(obj, lock.mode), Reverse(obj)))
+            .max()
     }
 
     /// True once `txn` holds at least one lock: it has been admitted
@@ -340,7 +361,7 @@ impl PriorityCeilingProtocol {
     }
 
     /// [`Self::admission_check`] with caller-provided scratch, usable from
-    /// `&self` contexts (the consistency oracle, the wake-pass refresh).
+    /// `&self` contexts (the consistency hook).
     /// On denial, `blockers` holds the blocking transactions: the
     /// conflicting in-phase transactions sorted ascending (gate 1) or the
     /// holders of the highest-ceiling lock in acquisition order (gate 2).
@@ -350,6 +371,10 @@ impl PriorityCeilingProtocol {
         phase_txns: &mut Vec<TxnId>,
         blockers: &mut Vec<TxnId>,
     ) -> Result<(), DenialGate> {
+        #[cfg(test)]
+        if self.reference {
+            return self.admission_check_reference(txn, phase_txns, blockers);
+        }
         blockers.clear();
         if self.in_phase(txn) {
             return Ok(());
@@ -372,36 +397,24 @@ impl PriorityCeilingProtocol {
             blockers.extend_from_slice(phase_txns);
             return Err(DenialGate::SetConflict);
         }
-        // Gate 2: the ceiling shield over currently locked objects. The
-        // blocking lock is the max-ceiling one, ties to the lowest object
-        // id — an order-independent argmax, so no sorted scan is needed.
-        let p = self.base_priority(txn);
-        let mut max_key: Option<(Priority, std::cmp::Reverse<ObjectId>)> = None;
-        let mut blocking_obj: Option<ObjectId> = None;
-        for (&obj, lock) in &self.locked {
-            if !lock.holders.iter().any(|&t| t != txn) {
-                continue;
-            }
-            let key = (self.rw_ceiling(obj, lock.mode), std::cmp::Reverse(obj));
-            if max_key.is_none_or(|k| key > k) {
-                max_key = Some(key);
-                blocking_obj = Some(obj);
-            }
-        }
-        match (blocking_obj, max_key) {
-            (None, _) => Ok(()),
-            (Some(_), Some((max_ceil, _))) if p > max_ceil => Ok(()),
-            (Some(obj), _) => {
-                blockers.extend(
-                    self.locked[&obj]
-                        .holders
-                        .iter()
-                        .copied()
-                        .filter(|&t| t != txn),
-                );
+        // Gate 2: the ceiling shield over objects locked by others. Not
+        // being in phase, `txn` holds no lock, so that is every locked
+        // object and the shield is the system ceiling.
+        match self.system_ceiling() {
+            Some((ceiling, Reverse(obj))) if self.base_priority(txn) <= ceiling => {
+                blockers.extend_from_slice(&self.locked[&obj].holders);
                 Err(DenialGate::Ceiling)
             }
+            _ => Ok(()),
         }
+    }
+
+    /// The blocked-by relation, waiter to blockers.
+    fn blocked_by(&self) -> FxHashMap<TxnId, Vec<TxnId>> {
+        self.blocked
+            .iter()
+            .map(|b| (b.txn, b.blockers.clone()))
+            .collect()
     }
 
     fn coerce_mode(&self, mode: LockMode) -> LockMode {
@@ -486,32 +499,69 @@ impl PriorityCeilingProtocol {
         }
     }
 
-    /// Recomputes inheritance from the blocked-by edges.
+    /// Brings effective priorities up to date with the blocked-by edges
+    /// and returns the changes, sorted by transaction.
+    ///
+    /// Inheritance has depth one: every waiter is an entrant holding no
+    /// lock and every blocker is in its locking phase, so no waiter blocks
+    /// anyone and each blocker runs at the highest base priority among its
+    /// waiters. Only current blockers and the transactions raised last
+    /// time can change, so nothing else is visited.
     fn recompute(&mut self) -> Vec<(TxnId, Priority)> {
-        // With no edges and no boost in force, `effective` already equals
-        // `base` (register/deregister keep them in sync), so the fixpoint
-        // and diff would produce nothing: skip the O(active) clone.
-        if self.blocked_edges.is_empty() && !self.boosted {
+        #[cfg(test)]
+        if self.reference {
+            return self.recompute_reference();
+        }
+        if self.blocked.is_empty() && self.raised.is_empty() {
             return Vec::new();
         }
-        // Empty unless the fixpoint sees an unregistered waiter, so this
-        // never allocates on the hot path.
-        let mut anomalies: Vec<TxnId> = Vec::new();
-        let mut eff = std::mem::take(&mut self.scratch_eff);
-        effective_priorities_into(&self.base, &self.blocked_edges, &mut anomalies, &mut eff);
-        if self.trace {
-            self.journal.extend(
-                anomalies
-                    .into_iter()
-                    .map(|txn| SimEventKind::ProtocolAnomaly {
-                        txn: Some(txn),
+        // Candidate (txn, effective, base) triples: everyone raised last
+        // time falls back to base unless a waiter still lifts it.
+        let mut targets = std::mem::take(&mut self.scratch_targets);
+        targets.clear();
+        targets.extend(
+            self.raised
+                .iter()
+                .filter_map(|&t| self.base.get(&t).map(|&b| (t, b, b))),
+        );
+        for req in &self.blocked {
+            let Some(&wp) = self.base.get(&req.txn) else {
+                if self.trace {
+                    self.journal.push(SimEventKind::ProtocolAnomaly {
+                        txn: Some(req.txn),
                         detail: "waiter in blocked_by but not registered",
-                    }),
-            );
+                    });
+                }
+                debug_assert!(false, "waiter {} in blocked_by but not registered", req.txn);
+                continue;
+            };
+            for b in &req.blockers {
+                if let Some(&bp) = self.base.get(b) {
+                    if wp > bp {
+                        targets.push((*b, wp, bp));
+                    }
+                }
+            }
         }
-        self.boosted = eff.iter().any(|(t, p)| self.base.get(t) != Some(p));
-        let updates = diff_updates(&mut self.effective, &mut eff);
-        self.scratch_eff = eff;
+        // Keep each transaction's highest candidate.
+        targets.sort_unstable_by(|x, y| x.0.cmp(&y.0).then(y.1.cmp(&x.1)));
+        targets.dedup_by_key(|x| x.0);
+        self.raised.clear();
+        let mut updates = Vec::new();
+        for &(txn, priority, base) in &targets {
+            let effective = self
+                .effective
+                .get_mut(&txn)
+                .expect("registered transaction has an effective priority");
+            if *effective != priority {
+                *effective = priority;
+                updates.push((txn, priority));
+            }
+            if priority > base {
+                self.raised.push(txn);
+            }
+        }
+        self.scratch_targets = targets;
         updates
     }
 
@@ -528,53 +578,86 @@ impl PriorityCeilingProtocol {
     }
 
     /// Wakes every blocked request that now passes admission, most urgent
-    /// first; each grant can change ceilings, so the scan restarts.
+    /// first, in one sweep of the wake-ordered queue, then refreshes the
+    /// blocked-by edges of the requests that stay blocked.
+    ///
+    /// A grant only tightens admission: it adds an in-phase transaction,
+    /// so gate 1 can only gain conflicts, and a lock, so the system
+    /// ceiling can only rise (active-set ceilings do not change). A
+    /// request denied earlier in the sweep therefore stays denied, and one
+    /// sweep grants the same requests in the same order as rescanning
+    /// from the top after every grant. Every waiter is an entrant, so
+    /// gate 2 is the system ceiling, and the sweep stops at the first
+    /// request not above it: every later one is no more urgent.
     fn wake_pass(&mut self, wakeups: &mut Vec<Wakeup>) {
-        loop {
-            if self.blocked.is_empty() {
-                return;
+        #[cfg(test)]
+        if self.reference {
+            return self.wake_pass_reference(wakeups);
+        }
+        if self.blocked.is_empty() {
+            return;
+        }
+        let mut phase = std::mem::take(&mut self.scratch_txns);
+        phase.clear();
+        phase.extend(
+            self.held_by
+                .iter()
+                .filter(|(_, objs)| !objs.is_empty())
+                .map(|(&t, _)| t),
+        );
+        let mut ceiling = self.system_ceiling();
+        let mut i = 0;
+        while i < self.blocked.len() {
+            let req = &self.blocked[i];
+            if ceiling.is_some_and(|(c, _)| req.priority <= c) {
+                break;
             }
-            // Order: base priority descending, then FIFO.
-            let mut order = std::mem::take(&mut self.scratch_order);
-            order.clear();
-            order.extend(0..self.blocked.len());
-            order.sort_by_key(|&i| {
-                let b = &self.blocked[i];
-                (std::cmp::Reverse(self.base_priority(b.txn)), b.seq)
-            });
-            let mut granted_idx: Option<usize> = None;
-            for &blocked_idx in &order {
-                let txn = self.blocked[blocked_idx].txn;
-                if self.admission_check(txn).is_ok() {
-                    granted_idx = Some(blocked_idx);
-                    break;
-                }
+            let me = &self.active[&req.txn];
+            if phase
+                .iter()
+                .any(|t| self.sets_conflict(me, &self.active[t]))
+            {
+                i += 1;
+                continue;
             }
-            self.scratch_order = order;
-            let Some(i) = granted_idx else { break };
             let req = self.blocked.remove(i);
-            self.blocked_edges.remove(&req.txn);
             self.grant(req.txn, req.object, req.mode);
+            phase.push(req.txn);
+            let mode = self.locked[&req.object].mode;
+            ceiling = ceiling.max(Some((
+                self.rw_ceiling(req.object, mode),
+                Reverse(req.object),
+            )));
             wakeups.push(Wakeup {
                 txn: req.txn,
                 object: req.object,
                 mode: req.mode,
             });
         }
-        // Refresh blocker sets of the requests that stay blocked: the
-        // highest-ceiling lock may have changed hands. Each waiter's edge
-        // vector is pulled out, refilled in place, and reinserted.
+        // Refresh against the final state: the in-phase set and the
+        // system-ceiling lock may have changed. Sorting the snapshot once
+        // leaves every gate-1 conflictor list sorted.
+        phase.sort_unstable();
         for i in 0..self.blocked.len() {
-            let txn = self.blocked[i].txn;
-            let mut edges = self.blocked_edges.remove(&txn).unwrap_or_default();
-            let mut phase_txns = std::mem::take(&mut self.scratch_txns);
-            let denied = self
-                .admission_check_into(txn, &mut phase_txns, &mut edges)
-                .is_err();
-            self.scratch_txns = phase_txns;
-            assert!(denied, "wake pass left an admissible request blocked");
-            self.blocked_edges.insert(txn, edges);
+            let mut blockers = std::mem::take(&mut self.blocked[i].blockers);
+            blockers.clear();
+            let req = &self.blocked[i];
+            let me = &self.active[&req.txn];
+            blockers.extend(
+                phase
+                    .iter()
+                    .copied()
+                    .filter(|t| self.sets_conflict(me, &self.active[t])),
+            );
+            if blockers.is_empty() {
+                let Some((_, Reverse(obj))) = ceiling.filter(|&(c, _)| req.priority <= c) else {
+                    panic!("wake pass left an admissible request blocked");
+                };
+                blockers.extend_from_slice(&self.locked[&obj].holders);
+            }
+            self.blocked[i].blockers = blockers;
         }
+        self.scratch_txns = phase;
     }
 
     fn remove_ceiling_contribution(&mut self, txn: TxnId) {
@@ -652,7 +735,7 @@ impl LockProtocol for PriorityCeilingProtocol {
             return RequestResult::granted();
         }
         assert!(
-            !self.blocked.iter().any(|b| b.txn == txn),
+            !self.is_blocked(txn),
             "{txn} requested a lock while already blocked"
         );
         match self.admission_check(txn) {
@@ -662,14 +745,6 @@ impl LockProtocol for PriorityCeilingProtocol {
             }
             Err(gate) => {
                 self.ceiling_blocks += 1;
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.blocked.push(BlockedReq {
-                    txn,
-                    object,
-                    mode,
-                    seq,
-                });
                 let blockers = std::mem::take(&mut self.scratch_blockers);
                 // Charge the block to the least urgent holder of the
                 // ceiling lock — the lower-priority transaction the
@@ -693,7 +768,21 @@ impl LockProtocol for PriorityCeilingProtocol {
                         },
                     });
                 }
-                self.blocked_edges.insert(txn, blockers);
+                let priority = self.base_priority(txn);
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                let at = self.blocked.partition_point(|b| b.priority >= priority);
+                self.blocked.insert(
+                    at,
+                    BlockedReq {
+                        txn,
+                        object,
+                        mode,
+                        priority,
+                        seq,
+                        blockers,
+                    },
+                );
                 let priority_updates = self.recompute();
                 self.journal_priority_updates(&priority_updates);
                 RequestResult {
@@ -723,7 +812,6 @@ impl LockProtocol for PriorityCeilingProtocol {
         }
         // Drop a pending blocked request (deadline abort while blocked).
         self.blocked.retain(|b| b.txn != txn);
-        self.blocked_edges.remove(&txn);
 
         if reason == ReleaseReason::Finished {
             // Leaving the active set lowers ceilings, which can admit
@@ -801,6 +889,19 @@ impl LockProtocol for PriorityCeilingProtocol {
                 "{} blocked but admissible",
                 b.txn
             );
+            assert_eq!(
+                Some(&b.priority),
+                self.base.get(&b.txn),
+                "{} queued under a stale priority",
+                b.txn
+            );
+        }
+        for w in self.blocked.windows(2) {
+            assert!(
+                (Reverse(w[0].priority), w[0].seq) < (Reverse(w[1].priority), w[1].seq),
+                "blocked queue out of wake order at {}",
+                w[1].txn
+            );
         }
         for (&t, &e) in &self.effective {
             assert!(e >= self.base[&t], "{t} effective below base");
@@ -808,12 +909,31 @@ impl LockProtocol for PriorityCeilingProtocol {
         // Inheritance operates on registered transactions only: every
         // waiter and every blocker in the edge set must have a base
         // priority (effective_priorities relies on this).
-        for (w, blockers) in &self.blocked_edges {
-            assert!(self.base.contains_key(w), "waiter {w} unregistered");
-            for b in blockers {
-                assert!(self.base.contains_key(b), "blocker {b} unregistered");
+        for b in &self.blocked {
+            assert!(
+                self.base.contains_key(&b.txn),
+                "waiter {} unregistered",
+                b.txn
+            );
+            for t in &b.blockers {
+                assert!(self.base.contains_key(t), "blocker {t} unregistered");
             }
         }
+        // The incremental recompute must agree with inheritance computed
+        // from scratch.
+        let fixpoint = effective_priorities(&self.base, &self.blocked_by(), &mut Vec::new());
+        assert_eq!(
+            fixpoint, self.effective,
+            "effective priorities off the inheritance fixpoint"
+        );
+        let mut raised: Vec<TxnId> = self
+            .effective
+            .iter()
+            .filter(|&(t, e)| self.base[t] != *e)
+            .map(|(&t, _)| t)
+            .collect();
+        raised.sort_unstable();
+        assert_eq!(raised, self.raised, "raised set out of date");
     }
 }
 

@@ -5,6 +5,9 @@
 //! transactions blocked by" it, transitively. This module computes the
 //! effective-priority fixpoint from the *blocked-by* relation and diffs it
 //! against the previous assignment so callers emit only actual changes.
+//! The inheritance protocol recomputes with it; the ceiling protocol,
+//! whose chains have depth one, updates incrementally and checks itself
+//! against the fixpoint in its consistency hook.
 
 use rtdb::TxnId;
 use starlite::{FxHashMap, Priority};
@@ -27,7 +30,6 @@ use starlite::{FxHashMap, Priority};
 /// turns it into a `protocol-anomaly` violation). Blockers missing from
 /// `base` are merely skipped: edge refreshes already prune departed
 /// holders, and a stale blocker has nobody left to boost.
-#[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn effective_priorities(
     base: &FxHashMap<TxnId, Priority>,
     blocked_by: &FxHashMap<TxnId, Vec<TxnId>>,

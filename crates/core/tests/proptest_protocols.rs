@@ -93,6 +93,7 @@ fn drive(kind: ProtocolKind, ops: &[Op]) -> (Box<dyn LockProtocol>, WaitsForGrap
                 protocol.register(&spec);
                 registered.insert(id, spec);
                 progress.insert(id, 0);
+                protocol.assert_consistent();
             }
             Op::RequestNext { txn } => {
                 let id = TxnId(txn as u64);

@@ -2,11 +2,13 @@
 # Perf-smoke gate for CI and local use.
 #
 # Re-runs the full figure sweep single-threaded and enforces:
-#   1. Output parity: results/*.json must match the committed figures
-#      exactly, except the environment-dependent `wall_clock_seconds`
-#      and `workers` fields. The run is traced, so the committed Chrome
-#      trace golden (results/all_figures.trace.json) is covered by the
-#      same diff — tracing must stay byte-deterministic.
+#   1. Output parity: every deterministic experiment (all_figures,
+#      fig2-fig6, the eight ablations and fig_temporal) is regenerated,
+#      and results/*.json must match the committed figures exactly,
+#      except the environment-dependent `wall_clock_seconds` and
+#      `workers` fields. The all_figures run is traced, so the committed
+#      Chrome trace golden (results/all_figures.trace.json) is covered
+#      by the same diff — tracing must stay byte-deterministic.
 #   2. Wall clock: all_figures must not take more than 2x the committed
 #      BENCH_SWEEP.json baseline.
 #   3. Throughput: all_figures events/sec must not drop more than 20%
@@ -64,10 +66,17 @@ RTLOCK_BENCH_WORKERS=1 ./target/release/all_figures --check \
     --trace results/all_figures.trace.json \
     --record=results/all_figures.trace.jsonl
 
-# The fault sweep is fully seeded (workload and fault streams), so its
-# results file must also reproduce byte-for-byte against the committed
-# golden; the parity diff below covers it.
-RTLOCK_BENCH_WORKERS=1 ./target/release/ablation_faults --check > /dev/null
+# Every other deterministic experiment is fully seeded too (the fault
+# sweep also seeds its fault streams), so each results file must
+# reproduce byte-for-byte against its committed golden; the parity diff
+# below covers them. fig_scale at full scale and the wall-clock-driven
+# fig_live are not deterministic goldens and stay out.
+for bin in fig2 fig3 fig4 fig5 fig6 \
+    ablation_rw_semantics ablation_inheritance ablation_victim \
+    ablation_timestamp ablation_io ablation_temporal ablation_granularity \
+    ablation_faults fig_temporal; do
+    RTLOCK_BENCH_WORKERS=1 "./target/release/${bin}" --check > /dev/null
+done
 
 # Reduced-scale pass over the stress configuration. `--smoke` skips the
 # BENCH_SWEEP.json record, so the committed full-scale entry survives.
