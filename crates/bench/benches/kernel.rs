@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use starlite::{
-    Completion, Cpu, CpuPolicy, Engine, HeapQueue, Model, Priority, Scheduler, SimDuration,
-    SimTime, WheelQueue,
+    Completion, Cpu, CpuPolicy, Engine, EventId, HeapQueue, Model, Priority, Scheduler,
+    SimDuration, SimTime,
 };
 
 struct Ping {
@@ -78,19 +78,18 @@ fn bench_schedule_cancel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Head-to-head raw-queue benchmarks: the hierarchical timing wheel
-/// against the binary-heap reference on the three access patterns the
-/// simulators generate; one run reports both sides.
-fn bench_queue_impls(c: &mut Criterion) {
-    // Dense near-future: every event lands within a level-0 window of the
-    // cursor, the common case for CPU burst completions.
-    fn dense<Q: RawQueue>(n: u64) -> u64 {
-        let mut q = Q::make();
+/// Raw-queue benchmarks of the engine's heap-plus-lane queue on the access
+/// patterns the simulators generate.
+fn bench_queue_patterns(c: &mut Criterion) {
+    // Dense near-future: every event lands within 61 ticks of now, the
+    // common case for CPU burst completions.
+    fn dense(n: u64) -> u64 {
+        let mut q = HeapQueue::new();
         for i in 0..n {
-            q.sched(i % 61, i as u32);
+            q.schedule(SimTime::from_ticks(i % 61), i as u32);
         }
         let mut fired = 0;
-        while q.pop().is_some() {
+        while q.pop_next().is_some() {
             fired += 1;
         }
         fired
@@ -99,12 +98,13 @@ fn bench_queue_impls(c: &mut Criterion) {
     // Cancel-heavy churn at steady state: a sliding window of pending
     // timers (deadline timers, I/O timeouts) where most are cancelled
     // before they fire and new ones arrive as old ones resolve.
-    fn churn<Q: RawQueue>(n: u64) -> u64 {
-        let mut q = Q::make();
-        let mut window: Vec<starlite::EventId> = Vec::new();
+    fn churn(n: u64) -> u64 {
+        let mut q = HeapQueue::new();
+        let mut window: Vec<EventId> = Vec::new();
         let mut cancelled = 0u64;
         for i in 0..n {
-            window.push(q.sched(500 + i % 97, i as u32));
+            let at = q.now() + SimDuration::from_ticks(500 + i % 97);
+            window.push(q.schedule(at, i as u32));
             if window.len() >= 64 {
                 // Cancel three-quarters of the oldest window, fire the rest.
                 for (k, id) in window.drain(..48).enumerate() {
@@ -112,97 +112,88 @@ fn bench_queue_impls(c: &mut Criterion) {
                         cancelled += u64::from(q.cancel(id));
                     }
                 }
-                while let Some(t) = q.peek() {
-                    if t > q.now_ticks() + 100 {
-                        break;
-                    }
-                    q.pop();
+                let horizon = q.now() + SimDuration::from_ticks(100);
+                while q.next_event_time().is_some_and(|t| t <= horizon) {
+                    q.pop_next();
                 }
             }
         }
-        while q.pop().is_some() {}
+        while q.pop_next().is_some() {}
         cancelled
     }
 
     // Far-future outliers: mostly near-future traffic with a tail of
     // events parked millions of ticks out (retransmission backstops,
-    // far deadlines), forcing multi-level filing and cascades.
-    fn outliers<Q: RawQueue>(n: u64) -> u64 {
-        let mut q = Q::make();
+    // far deadlines).
+    fn outliers(n: u64) -> u64 {
+        let mut q = HeapQueue::new();
         for i in 0..n {
             let delta = if i % 16 == 0 { 9_999_991 } else { i % 127 };
-            q.sched(delta, i as u32);
+            q.schedule(SimTime::from_ticks(delta), i as u32);
         }
         let mut fired = 0;
-        while q.pop().is_some() {
+        while q.pop_next().is_some() {
             fired += 1;
         }
         fired
     }
 
-    let mut group = c.benchmark_group("kernel/queue_impls");
+    // The simulators' traffic: `n` time-sorted arrivals scheduled up
+    // front. Each fired arrival schedules a deadline 60k ticks out and
+    // one I/O (+500) or CPU (+1,000) completion, which cancels the
+    // deadline for 94 % of arrivals (about the paper-grid miss rate of
+    // 6 %). Arrivals 10k ticks apart leave about seven keys in the heap
+    // beside the pending arrivals.
+    fn arrivals(n: u64) -> u64 {
+        enum Ev {
+            Arrival(u64),
+            Completion(Option<EventId>),
+            Deadline,
+        }
+        let mut q = HeapQueue::new();
+        for i in 0..n {
+            q.schedule(SimTime::from_ticks(i * 10_000), Ev::Arrival(i));
+        }
+        let mut fired = 0;
+        while let Some(ev) = q.pop_next() {
+            fired += 1;
+            let now = q.now();
+            match ev {
+                Ev::Arrival(i) => {
+                    let deadline = q.schedule(now + SimDuration::from_ticks(60_000), Ev::Deadline);
+                    let service = if i % 2 == 0 { 500 } else { 1_000 };
+                    let cancel = (i % 50 >= 3).then_some(deadline);
+                    q.schedule(
+                        now + SimDuration::from_ticks(service),
+                        Ev::Completion(cancel),
+                    );
+                }
+                Ev::Completion(Some(deadline)) => {
+                    q.cancel(deadline);
+                }
+                Ev::Completion(None) | Ev::Deadline => {}
+            }
+        }
+        fired
+    }
+
+    let mut group = c.benchmark_group("kernel/queue_patterns");
     for &n in &[1_000u64, 10_000] {
-        group.bench_with_input(BenchmarkId::new("wheel/dense", n), &n, |b, &n| {
-            b.iter(|| dense::<WheelQueue<u32>>(n))
+        group.bench_with_input(BenchmarkId::new("dense", n), &n, |b, &n| {
+            b.iter(|| dense(n))
         });
-        group.bench_with_input(BenchmarkId::new("heap/dense", n), &n, |b, &n| {
-            b.iter(|| dense::<HeapQueue<u32>>(n))
+        group.bench_with_input(BenchmarkId::new("churn", n), &n, |b, &n| {
+            b.iter(|| churn(n))
         });
-        group.bench_with_input(BenchmarkId::new("wheel/churn", n), &n, |b, &n| {
-            b.iter(|| churn::<WheelQueue<u32>>(n))
+        group.bench_with_input(BenchmarkId::new("outliers", n), &n, |b, &n| {
+            b.iter(|| outliers(n))
         });
-        group.bench_with_input(BenchmarkId::new("heap/churn", n), &n, |b, &n| {
-            b.iter(|| churn::<HeapQueue<u32>>(n))
-        });
-        group.bench_with_input(BenchmarkId::new("wheel/outliers", n), &n, |b, &n| {
-            b.iter(|| outliers::<WheelQueue<u32>>(n))
-        });
-        group.bench_with_input(BenchmarkId::new("heap/outliers", n), &n, |b, &n| {
-            b.iter(|| outliers::<HeapQueue<u32>>(n))
+        group.bench_with_input(BenchmarkId::new("arrivals", n), &n, |b, &n| {
+            b.iter(|| arrivals(n))
         });
     }
     group.finish();
 }
-
-/// Minimal common surface over the two queue types so each pattern above
-/// is written once and monomorphised per implementation.
-trait RawQueue {
-    fn make() -> Self;
-    fn now_ticks(&self) -> u64;
-    fn sched(&mut self, delta: u64, tag: u32) -> starlite::EventId;
-    fn cancel(&mut self, id: starlite::EventId) -> bool;
-    fn peek(&mut self) -> Option<u64>;
-    fn pop(&mut self) -> Option<u32>;
-}
-
-macro_rules! impl_raw_queue {
-    ($ty:ty) => {
-        impl RawQueue for $ty {
-            fn make() -> Self {
-                <$ty>::new()
-            }
-            fn now_ticks(&self) -> u64 {
-                self.now().ticks()
-            }
-            fn sched(&mut self, delta: u64, tag: u32) -> starlite::EventId {
-                let at = SimTime::from_ticks(self.now().ticks() + delta);
-                self.schedule(at, tag)
-            }
-            fn cancel(&mut self, id: starlite::EventId) -> bool {
-                <$ty>::cancel(self, id)
-            }
-            fn peek(&mut self) -> Option<u64> {
-                self.next_event_time().map(|t| t.ticks())
-            }
-            fn pop(&mut self) -> Option<u32> {
-                self.pop_next()
-            }
-        }
-    };
-}
-
-impl_raw_queue!(WheelQueue<u32>);
-impl_raw_queue!(HeapQueue<u32>);
 
 fn bench_cpu_scheduler(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel/cpu");
@@ -291,7 +282,7 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_schedule_cancel,
-    bench_queue_impls,
+    bench_queue_patterns,
     bench_cpu_scheduler,
     bench_cpu_ready_queue
 );

@@ -6,7 +6,8 @@
 //! Unlike `fig2`…`fig6` this binary measures the *simulator*, not the
 //! protocols: the figures it feeds are BENCH_SWEEP.json throughput
 //! entries. `scripts/perf_smoke.sh` runs its smoke mode under the oracle;
-//! the script's events/sec gate is on `all_figures`.
+//! the script's events/sec gates are on `all_figures` and the full
+//! `fig_temporal` sweep.
 //!
 //! Usage: `fig_scale [--smoke]`
 //!

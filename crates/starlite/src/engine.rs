@@ -2,28 +2,27 @@
 //!
 //! # Queue layout
 //!
-//! The queue behind [`Scheduler`] is a hierarchical timing wheel
-//! ([`crate::queue::WheelQueue`]): per-tick buckets for the near future,
-//! exponentially coarser levels above, one-word occupancy bitmaps to skip
-//! empty stretches of virtual time, and a slab of payloads addressed by
-//! generation-tagged handles so cancellation is an O(1) slot invalidation.
-//! The original binary-heap queue is retained as the executable reference
-//! model ([`crate::queue::HeapQueue`]) that the equivalence proptests drive
-//! against the wheel directly.
+//! The queue behind [`Scheduler`] is [`crate::queue::HeapQueue`]: a
+//! binary min-heap of three-word `(time, sequence, handle)` keys plus a
+//! sorted *lane*, a FIFO that takes every key at or after its own last
+//! key. The arrivals the simulators pre-schedule in time order stay in the
+//! lane, so the heap holds only the few events in flight. Payloads live in
+//! a slab addressed by generation-tagged handles, so cancellation is an
+//! O(1) slot invalidation.
 //!
 //! # Determinism
 //!
 //! Events fire in `(time, sequence)` order — a total order, since sequence
-//! numbers are unique — and neither the queue implementation, the slab
-//! layout, the slot reuse policy, nor a tombstone purge can affect it.
-//! See the [queue module docs](crate::queue) for the wheel's ordering
+//! numbers are unique — and neither the split between heap and lane, the
+//! slab layout, the slot reuse policy, nor a tombstone purge can affect
+//! it. See the [queue module docs](crate::queue) for the ordering
 //! argument.
 
 use std::fmt;
 
 use crate::event::EventId;
+use crate::queue::HeapQueue;
 pub use crate::queue::QueueStats;
-use crate::queue::WheelQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// A simulation model: the state machine the engine drives.
@@ -45,9 +44,9 @@ pub trait Model {
 ///
 /// A `Scheduler` is handed to [`Model::handle`] so handlers can read the
 /// clock, schedule future events, and cancel previously scheduled ones.
-/// It is a thin wrapper over the timing-wheel queue.
+/// It is a thin wrapper over the heap-plus-lane queue.
 pub struct Scheduler<E> {
-    queue: WheelQueue<E>,
+    queue: HeapQueue<E>,
 }
 
 impl<E> fmt::Debug for Scheduler<E> {
@@ -61,7 +60,7 @@ impl<E> fmt::Debug for Scheduler<E> {
 impl<E> Scheduler<E> {
     fn new() -> Self {
         Scheduler {
-            queue: WheelQueue::new(),
+            queue: HeapQueue::new(),
         }
     }
 
@@ -334,10 +333,10 @@ mod tests {
 
     #[test]
     fn schedule_between_horizon_and_next_event_still_fires_first() {
-        // A horizon-bounded run may advance the queue's internal position
-        // past the horizon while locating the next event; an event then
-        // scheduled between the horizon and that next event must still
-        // fire first (the wheel's `early` path).
+        // A horizon-bounded run peeks at the next event beyond the
+        // horizon; an event then scheduled between the horizon and that
+        // next event lands in the heap, below the lane's last key, and
+        // must still fire first.
         let mut eng = Engine::new(Recorder::default());
         let s = eng.scheduler_mut();
         s.schedule(SimTime::from_ticks(10), Ev::Tag(1));
@@ -362,6 +361,51 @@ mod tests {
         eng.step();
         eng.scheduler_mut()
             .schedule(SimTime::from_ticks(5), Ev::Tag(2));
+    }
+
+    #[test]
+    fn mid_run_event_ties_after_prescheduled_arrival() {
+        // Arrivals pre-scheduled in time order sit in the lane. The first
+        // one schedules a follow-up for the second arrival's tick; it is
+        // below the lane's last key, so it goes to the heap, and the tie
+        // must break by scheduling order: the arrival fires first.
+        struct Arrivals {
+            order: Vec<(u64, &'static str)>,
+        }
+        enum AEv {
+            Arrival(u64),
+            FollowUp,
+        }
+        impl Model for Arrivals {
+            type Event = AEv;
+            fn handle(&mut self, ev: AEv, sched: &mut Scheduler<AEv>) {
+                let now = sched.now().ticks();
+                match ev {
+                    AEv::Arrival(i) => {
+                        self.order.push((now, "arrival"));
+                        if i == 0 {
+                            sched.schedule(SimTime::from_ticks(20), AEv::FollowUp);
+                        }
+                    }
+                    AEv::FollowUp => self.order.push((now, "follow-up")),
+                }
+            }
+        }
+        let mut eng = Engine::new(Arrivals { order: vec![] });
+        let s = eng.scheduler_mut();
+        for (i, at) in [10u64, 20, 30].into_iter().enumerate() {
+            s.schedule(SimTime::from_ticks(at), AEv::Arrival(i as u64));
+        }
+        eng.run_to_completion(None);
+        assert_eq!(
+            eng.model().order,
+            vec![
+                (10, "arrival"),
+                (20, "arrival"),
+                (20, "follow-up"),
+                (30, "arrival")
+            ]
+        );
     }
 
     #[test]
@@ -413,9 +457,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cascade_in_order() {
-        // Spread events across several wheel levels (deltas from a few
-        // ticks to hundreds of thousands) and check global firing order.
+    fn far_future_events_fire_in_order() {
+        // Unsorted times from a few ticks to 2^30, so some keys extend the
+        // lane and the rest go to the heap; check global firing order.
         let mut eng = Engine::new(Recorder::default());
         let s = eng.scheduler_mut();
         let times = [
@@ -450,6 +494,8 @@ mod tests {
         let ids: Vec<EventId> = (0..1_000)
             .map(|i| s.schedule(SimTime::from_ticks(100 + i), Ev::Tag(i as u32)))
             .collect();
+        // Sorted schedules all take the lane, which `key_count` includes.
+        assert_eq!(s.key_count(), 1_000);
         for id in &ids[..900] {
             assert!(s.cancel(*id));
         }

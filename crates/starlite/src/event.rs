@@ -46,10 +46,11 @@ impl fmt::Display for EventId {
     }
 }
 
-/// A heap entry: the firing time, a sequence number providing a
+/// A queue entry: the firing time, a sequence number providing a
 /// deterministic total order among same-time events, and the slab handle
-/// of the payload. Payloads live in the scheduler's slab, not in the heap,
-/// so sift operations move three words instead of a full event.
+/// of the payload. Payloads live in the scheduler's slab, not in the heap
+/// or the lane, so sift operations move three words instead of a full
+/// event.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueueKey {
     pub at: SimTime,

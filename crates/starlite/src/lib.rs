@@ -66,7 +66,7 @@ pub use event::EventId;
 pub use hashing::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use io::IoDevice;
 pub use priority::Priority;
-pub use queue::{HeapQueue, WheelQueue};
+pub use queue::HeapQueue;
 pub use random::RandomSource;
 pub use sink::{EventSink, NullSink, TeeSink, VecSink};
 pub use time::{SimDuration, SimTime};
