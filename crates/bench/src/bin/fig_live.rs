@@ -3,6 +3,12 @@
 //! over thread counts, with every run's merged event stream replayable
 //! through the invariant oracle.
 //!
+//! A second, uncontended point isolates the live lock path: one worker
+//! per protocol, 10⁵ objects, 32-object transactions and no busy work, so
+//! only lock-manager calls, uncontended latches and event recording
+//! remain. Its `overhead_ops_per_sec` (committed ÷ wall over the four
+//! protocols) is the speed of the live lock path in one number.
+//!
 //! Unlike `fig2`…`fig6` the numbers here are *real* — ops per
 //! wall-clock second, actual blocked-time percentiles in microseconds —
 //! so they vary between hosts and are recorded the way wall clock is:
@@ -12,11 +18,12 @@
 //!
 //! Usage: `fig_live [--smoke] [--check] [--compare]`
 //!
-//! `--smoke` runs a reduced grid and writes nothing — the CI
-//! configuration. `--check` replays every run's merged stream through
-//! `monitor::CheckSink` under `CheckConfig::live` and exits nonzero on
-//! any violation. `--compare` adds the simulated counterpart of each
-//! protocol at the same transaction count for a side-by-side table.
+//! `--smoke` runs a reduced grid (the overhead point at 120
+//! transactions) and writes nothing — the CI configuration. `--check`
+//! replays every run's merged stream through `monitor::CheckSink` under
+//! `CheckConfig::live` and exits nonzero on any violation. `--compare`
+//! adds the simulated counterpart of each protocol at the same
+//! transaction count for a side-by-side table.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -88,6 +95,58 @@ fn point_json(report: &LiveReport, contention: Json) -> Json {
     ])
 }
 
+/// The uncontended overhead point of `protocol`: the shape of the
+/// benchmark's `live-overhead` workload.
+fn overhead_config(protocol: LiveProtocol, smoke: bool) -> LiveConfig {
+    LiveConfig {
+        txn_count: if smoke { 120 } else { 1_800 },
+        db_size: 100_000,
+        txn_size: 32,
+        hold_us: 0,
+        ..LiveConfig::new(protocol, 1)
+    }
+}
+
+/// Runs one live configuration: prints its table row, asserts the run's
+/// own witnesses, replays the oracle when `check` is set (adding to
+/// `violations`) and profiles contention.
+fn run_point(config: &LiveConfig, check: bool, violations: &mut usize) -> (LiveReport, Json) {
+    let report = run_live(config);
+    println!(
+        "{:>6} {:>8} {:>9} {:>7} {:>8.2} {:>9} {:>10} {:>12} {:>12} {:>10.0}",
+        report.protocol,
+        report.threads,
+        report.committed,
+        report.missed,
+        report.pct_missed(),
+        report.restarts,
+        report.deadlocks,
+        report.blocked_hist.percentile(95),
+        report.blocked_hist.percentile(99),
+        report.ops_per_sec(),
+    );
+    assert_eq!(
+        report.processed, config.txn_count,
+        "live run must process every transaction"
+    );
+    assert!(
+        report.store_consistent,
+        "shared store lost updates — write-lock exclusivity broke"
+    );
+    if config.protocol.is_ceiling() {
+        assert_eq!(
+            report.deadlocks, 0,
+            "ceiling admission must be deadlock-free"
+        );
+    }
+    if check {
+        *violations += oracle_violations(&report, config.protocol.is_ceiling());
+    }
+    let contention = profile(&report);
+    let point = point_json(&report, contention);
+    (report, point)
+}
+
 /// The simulated counterpart of one live protocol at the same shape, for
 /// the `--compare` table.
 fn compare_row(protocol: LiveProtocol, config: &LiveConfig) {
@@ -130,20 +189,23 @@ fn main() -> ExitCode {
         }
     };
 
+    let header = || {
+        println!(
+            "{:>6} {:>8} {:>9} {:>7} {:>8} {:>9} {:>10} {:>12} {:>12} {:>10}",
+            "proto",
+            "threads",
+            "commits",
+            "missed",
+            "%missed",
+            "restarts",
+            "deadlocks",
+            "blocked_p95",
+            "blocked_p99",
+            "ops/sec"
+        );
+    };
     println!("== live backend sweep (real threads, wall-clock deadlines) ==");
-    println!(
-        "{:>6} {:>8} {:>9} {:>7} {:>8} {:>9} {:>10} {:>12} {:>12} {:>10}",
-        "proto",
-        "threads",
-        "commits",
-        "missed",
-        "%missed",
-        "restarts",
-        "deadlocks",
-        "blocked_p95",
-        "blocked_p99",
-        "ops/sec"
-    );
+    header();
 
     let started = Instant::now();
     let mut points = Vec::new();
@@ -152,44 +214,27 @@ fn main() -> ExitCode {
     let mut best_ops = 0.0f64;
     for protocol in LiveProtocol::all() {
         for &threads in thread_counts {
-            let config = make(protocol, threads);
-            let report = run_live(&config);
+            let (report, point) = run_point(&make(protocol, threads), check, &mut violations);
             max_threads = max_threads.max(threads);
             best_ops = best_ops.max(report.ops_per_sec());
-            println!(
-                "{:>6} {:>8} {:>9} {:>7} {:>8.2} {:>9} {:>10} {:>12} {:>12} {:>10.0}",
-                report.protocol,
-                report.threads,
-                report.committed,
-                report.missed,
-                report.pct_missed(),
-                report.restarts,
-                report.deadlocks,
-                report.blocked_hist.percentile(95),
-                report.blocked_hist.percentile(99),
-                report.ops_per_sec(),
-            );
-            assert_eq!(
-                report.processed, config.txn_count,
-                "live run must process every transaction"
-            );
-            assert!(
-                report.store_consistent,
-                "shared store lost updates — write-lock exclusivity broke"
-            );
-            if protocol.is_ceiling() {
-                assert_eq!(
-                    report.deadlocks, 0,
-                    "ceiling admission must be deadlock-free"
-                );
-            }
-            if check {
-                violations += oracle_violations(&report, protocol.is_ceiling());
-            }
-            let contention = profile(&report);
-            points.push(point_json(&report, contention));
+            points.push(point);
         }
     }
+
+    println!(
+        "\n== uncontended lock path (1 worker, 10^5 objects, 32-object txns, no busy work) =="
+    );
+    header();
+    let mut overhead_points = Vec::new();
+    let (mut overhead_committed, mut overhead_wall) = (0u64, 0.0f64);
+    for protocol in LiveProtocol::all() {
+        let (report, point) = run_point(&overhead_config(protocol, smoke), check, &mut violations);
+        overhead_committed += u64::from(report.committed);
+        overhead_wall += report.wall.as_secs_f64();
+        overhead_points.push(point);
+    }
+    let overhead_ops = overhead_committed as f64 / overhead_wall;
+    println!("overhead: {overhead_ops:.0} committed txns/sec over the four protocols");
     let wall = started.elapsed().as_secs_f64();
 
     if check {
@@ -226,6 +271,7 @@ fn main() -> ExitCode {
     }
 
     let reference = make(LiveProtocol::TwoPhase, thread_counts[0]);
+    let overhead = overhead_config(LiveProtocol::TwoPhase, smoke);
     let json = Json::object([
         (
             "experiment",
@@ -244,6 +290,24 @@ fn main() -> ExitCode {
             ]),
         ),
         ("points", Json::Array(points)),
+        (
+            "overhead",
+            Json::object([
+                (
+                    "parameters",
+                    Json::object([
+                        ("threads", (overhead.threads as u32).into()),
+                        ("txn_count", overhead.txn_count.into()),
+                        ("db_size", overhead.db_size.into()),
+                        ("txn_size", overhead.txn_size.into()),
+                        ("hold_us", overhead.hold_us.into()),
+                        ("seed", overhead.seed.into()),
+                    ]),
+                ),
+                ("points", Json::Array(overhead_points)),
+                ("ops_per_sec", overhead_ops.into()),
+            ]),
+        ),
         ("wall_clock_seconds", wall.into()),
     ]);
     match results::write_json("fig_live", &json) {
@@ -255,11 +319,12 @@ fn main() -> ExitCode {
         vec![
             (
                 "runs".to_string(),
-                ((LiveProtocol::all().len() * thread_counts.len()) as u64).into(),
+                ((LiveProtocol::all().len() * (thread_counts.len() + 1)) as u64).into(),
             ),
             ("workers".to_string(), (max_threads as u64).into()),
             ("wall_clock_seconds".to_string(), wall.into()),
             ("live_best_ops_per_sec".to_string(), best_ops.into()),
+            ("overhead_ops_per_sec".to_string(), overhead_ops.into()),
         ],
     ) {
         Ok(path) => println!("wall clock recorded: {}", path.display()),

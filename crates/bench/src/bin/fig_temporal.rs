@@ -7,9 +7,9 @@
 //!
 //! * `lock`     — readers take ordinary read locks (the baseline);
 //! * `latch`    — readers take one range latch over their scan and skip
-//!                the lock protocol (writers add point write latches);
+//!   the lock protocol (writers add point write latches);
 //! * `snapshot` — readers pin `arrival − lag` in the version store and
-//!                read lock-free at the pinned instant.
+//!   read lock-free at the pinned instant.
 //!
 //! The axes are the update rate (arrival-rate multiplier over the
 //! calibrated 70 %-utilisation load: more updates, more reader/writer
@@ -29,8 +29,8 @@
 use monitor::csv::Table;
 use rtlock::{MvccConfig, ProtocolKind, ReaderMode, TemporalStats};
 use rtlock_bench::harness::{SimSpec, SingleSiteSpec, Sweep, SweepResults};
-use rtlock_bench::results::{self, Json};
 use rtlock_bench::params;
+use rtlock_bench::results::{self, Json};
 use starlite::SimDuration;
 
 /// Accesses per transaction (readers scan this many contiguous objects).
@@ -100,7 +100,11 @@ fn main() {
     let mut sweep = Sweep::new();
     for &rate in rates {
         for mode in [ReaderMode::Locking, ReaderMode::LatchScan] {
-            sweep.point(label(mode, rate, 0), seeds, SimSpec::SingleSite(spec(mode, rate, 0)));
+            sweep.point(
+                label(mode, rate, 0),
+                seeds,
+                SimSpec::SingleSite(spec(mode, rate, 0)),
+            );
         }
         for &lag in &LAGS {
             sweep.point(

@@ -375,9 +375,7 @@ mod tests {
         let events = events.into_events();
         let latch_blocks = events
             .iter()
-            .filter(|(_, e)| {
-                matches!(e.kind, monitor::SimEventKind::RangeLatchBlocked { .. })
-            })
+            .filter(|(_, e)| matches!(e.kind, monitor::SimEventKind::RangeLatchBlocked { .. }))
             .count();
         assert!(latch_blocks > 0, "the hot run must produce latch waits");
 

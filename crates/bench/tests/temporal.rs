@@ -43,13 +43,13 @@ fn run(label: &str, seed: u64, sim: SimSpec) -> rtlock_bench::harness::RunMetric
 
 #[test]
 fn single_site_reader_modes_run_oracle_clean() {
-    for mode in [ReaderMode::Locking, ReaderMode::LatchScan, ReaderMode::Snapshot] {
+    for mode in [
+        ReaderMode::Locking,
+        ReaderMode::LatchScan,
+        ReaderMode::Snapshot,
+    ] {
         for seed in [1, 7] {
-            let m = run(
-                mode.label(),
-                seed,
-                SimSpec::SingleSite(reader_spec(mode)),
-            );
+            let m = run(mode.label(), seed, SimSpec::SingleSite(reader_spec(mode)));
             let t = m.temporal.expect("mvcc enabled");
             assert!(
                 t.reader_committed > 0,
@@ -58,7 +58,10 @@ fn single_site_reader_modes_run_oracle_clean() {
             if mode == ReaderMode::Snapshot {
                 assert!(t.snapshot_reads > 0, "snapshot readers must read versions");
             } else {
-                assert_eq!(t.snapshot_reads, 0, "{mode} readers must not probe snapshots");
+                assert_eq!(
+                    t.snapshot_reads, 0,
+                    "{mode} readers must not probe snapshots"
+                );
             }
         }
     }
@@ -99,9 +102,16 @@ fn dist_spec(faults: FaultPlan) -> DistributedSpec {
 #[test]
 fn distributed_snapshot_readers_run_oracle_clean() {
     for seed in [1, 5] {
-        let m = run("dist-snapshot", seed, SimSpec::Distributed(dist_spec(FaultPlan::default())));
+        let m = run(
+            "dist-snapshot",
+            seed,
+            SimSpec::Distributed(dist_spec(FaultPlan::default())),
+        );
         let t = m.temporal.expect("temporal versions enabled");
-        assert!(t.reader_committed > 0, "snapshot readers must commit ({t:?})");
+        assert!(
+            t.reader_committed > 0,
+            "snapshot readers must commit ({t:?})"
+        );
         assert!(t.snapshot_reads > 0);
     }
 }
@@ -126,7 +136,11 @@ fn snapshot_reads_stay_oracle_clean_under_faults() {
         }],
     };
     for seed in [1, 9] {
-        let m = run("dist-snapshot-faults", seed, SimSpec::Distributed(dist_spec(faults.clone())));
+        let m = run(
+            "dist-snapshot-faults",
+            seed,
+            SimSpec::Distributed(dist_spec(faults.clone())),
+        );
         let t = m.temporal.expect("temporal versions enabled");
         assert!(
             t.snapshot_reads > 0,

@@ -598,10 +598,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
     fn is_snapshot_reader(&self, txn: TxnId) -> bool {
         self.config.snapshot_readers
             && !self.is_system(txn)
-            && self
-                .specs
-                .get(&txn)
-                .is_some_and(|s| s.write_set.is_empty())
+            && self.specs.get(&txn).is_some_and(|s| s.write_set.is_empty())
     }
 
     // ----- CPU ----------------------------------------------------------
@@ -1349,7 +1346,15 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         self.probe_snapshot(txn, object, site, now);
         let read = self.version_stores[site.index()].read_at(object, pin);
         if let Some(version) = read.number() {
-            self.emit(now, site, SimEventKind::SnapshotRead { txn, object, version });
+            self.emit(
+                now,
+                site,
+                SimEventKind::SnapshotRead {
+                    txn,
+                    object,
+                    version,
+                },
+            );
         }
     }
 
@@ -1417,7 +1422,14 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             );
             if let Some(through) = gced {
                 self.versions_gced += 1;
-                self.emit(now, home, SimEventKind::VersionGced { object: obj, through });
+                self.emit(
+                    now,
+                    home,
+                    SimEventKind::VersionGced {
+                        object: obj,
+                        through,
+                    },
+                );
             }
             for s in self.catalog.sites() {
                 if s != home {
@@ -1983,12 +1995,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                     // (idempotently empty) so the coordinator can stop.
                     self.resolved_participants.insert((txn, to));
                     if self.faults_active {
-                        self.send(
-                            to,
-                            coordinator,
-                            Message::AckMsg { txn, site: to },
-                            sched,
-                        );
+                        self.send(to, coordinator, Message::AckMsg { txn, site: to }, sched);
                     }
                     return;
                 };
@@ -2014,12 +2021,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                         }
                     }
                 }
-                self.send(
-                    to,
-                    coordinator,
-                    Message::AckMsg { txn, site: to },
-                    sched,
-                );
+                self.send(to, coordinator, Message::AckMsg { txn, site: to }, sched);
             }
             Message::AckMsg { txn, site } => {
                 let Some(exec) = self.exec.get_mut(&txn) else {

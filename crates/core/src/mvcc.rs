@@ -285,7 +285,10 @@ impl VersionStore {
             writer,
         });
         debug_assert!(
-            entry.iter().zip(entry.iter().skip(1)).all(|(a, b)| a.at <= b.at),
+            entry
+                .iter()
+                .zip(entry.iter().skip(1))
+                .all(|(a, b)| a.at <= b.at),
             "chain must stay time-ordered"
         );
         let watermark = self.pins.keys().next().copied();
@@ -459,7 +462,9 @@ mod tests {
         let evicted = s.gc();
         assert_eq!(evicted, vec![(ObjectId(0), 2)]);
         assert_eq!(s.version_count(ObjectId(0)), 2);
-        assert!(s.read_at(ObjectId(0), SimTime::from_ticks(150)).is_evicted());
+        assert!(s
+            .read_at(ObjectId(0), SimTime::from_ticks(150))
+            .is_evicted());
     }
 
     #[test]
@@ -590,7 +595,9 @@ mod tests {
         // Version 1 never reached this replica (e.g. the site was down):
         // pre-front reads cannot be served by the initial value.
         s.install_if_newer(ObjectId(0), 3, 3, TxnId(3), SimTime::from_ticks(300));
-        assert!(s.read_at(ObjectId(0), SimTime::from_ticks(100)).is_evicted());
+        assert!(s
+            .read_at(ObjectId(0), SimTime::from_ticks(100))
+            .is_evicted());
     }
 
     #[test]

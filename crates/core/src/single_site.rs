@@ -251,18 +251,18 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         if self.reader_mode(txn) == Some(ReaderMode::Snapshot) {
             let mvcc = self.config.mvcc.expect("snapshot mode implies mvcc");
             let spec = &self.specs[&txn];
-            let pin_at = SimTime::from_ticks(
-                spec.arrival
-                    .ticks()
-                    .saturating_sub(mvcc.reader_lag.ticks()),
-            );
+            let pin_at =
+                SimTime::from_ticks(spec.arrival.ticks().saturating_sub(mvcc.reader_lag.ticks()));
             let id = self
                 .versions
                 .as_mut()
                 .expect("mvcc configurations have a version store")
                 .pin(pin_at);
             self.pins.insert(txn, (id, pin_at));
-            self.emit(sched.now(), SimEventKind::SnapshotPinned { txn, pin: pin_at });
+            self.emit(
+                sched.now(),
+                SimEventKind::SnapshotPinned { txn, pin: pin_at },
+            );
         }
         self.pending.push_back(Pending::Advance(txn));
         self.pump(sched);
@@ -503,8 +503,18 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         let exec = &self.exec[&txn];
         let (lo, hi, mode) = if self.reader_mode(txn) == Some(ReaderMode::LatchScan) {
             let spec = &self.specs[&txn];
-            let lo = spec.read_set.iter().map(|o| o.0).min().expect("reader reads");
-            let hi = spec.read_set.iter().map(|o| o.0).max().expect("reader reads");
+            let lo = spec
+                .read_set
+                .iter()
+                .map(|o| o.0)
+                .min()
+                .expect("reader reads");
+            let hi = spec
+                .read_set
+                .iter()
+                .map(|o| o.0)
+                .max()
+                .expect("reader reads");
             (ObjectId(lo), ObjectId(hi), LockMode::Read)
         } else {
             let (object, _) = exec.seq[exec.step];
@@ -518,7 +528,15 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
                 true
             }
             LatchOutcome::Blocked { blocker } => {
-                self.emit(now, SimEventKind::RangeLatchBlocked { txn, lo, hi, blocker });
+                self.emit(
+                    now,
+                    SimEventKind::RangeLatchBlocked {
+                        txn,
+                        lo,
+                        hi,
+                        blocker,
+                    },
+                );
                 let lower = blocker.filter(|b| {
                     self.specs
                         .get(b)
@@ -630,7 +648,14 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
                     self.temporal.lag_total += lag.ticks() as u128;
                     self.temporal.lag_max = self.temporal.lag_max.max(lag.ticks());
                 }
-                self.emit(now, SimEventKind::SnapshotRead { txn, object, version });
+                self.emit(
+                    now,
+                    SimEventKind::SnapshotRead {
+                        txn,
+                        object,
+                        version,
+                    },
+                );
             }
             None => self.temporal.unconstructible += 1,
         }
@@ -640,7 +665,10 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         // Lockless readers never register with the protocol, so it has no
         // effective priority for them; they run at base EDF priority
         // (latch waits do not propagate inheritance).
-        let priority = if self.reader_mode(txn).is_some_and(|m| m != ReaderMode::Locking) {
+        let priority = if self
+            .reader_mode(txn)
+            .is_some_and(|m| m != ReaderMode::Locking)
+        {
             self.specs[&txn].base_priority()
         } else {
             self.protocol.effective_priority(txn)
@@ -701,7 +729,13 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
                 );
                 if let Some(through) = inst.evicted_through {
                     self.temporal.versions_gced += 1;
-                    self.emit(now, SimEventKind::VersionGced { object: obj, through });
+                    self.emit(
+                        now,
+                        SimEventKind::VersionGced {
+                            object: obj,
+                            through,
+                        },
+                    );
                 }
             }
         }

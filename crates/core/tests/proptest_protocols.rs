@@ -161,6 +161,69 @@ fn drive(kind: ProtocolKind, ops: &[Op]) -> (Box<dyn LockProtocol>, WaitsForGrap
     (protocol, wfg, deadlocks)
 }
 
+/// Drives `ops` through a ceiling protocol, asserts it never reports a
+/// deadlock, then drains it: repeatedly finishes an unblocked
+/// transaction or, when everyone is blocked, aborts a blocked one (as a
+/// deadline would), until the protocol is empty.
+fn assert_drives_and_drains(kind: ProtocolKind, ops: &[Op]) {
+    let (mut protocol, _wfg, deadlocks) = drive(kind, ops);
+    assert_eq!(deadlocks, 0, "{kind:?} reported a deadlock");
+    // Rebuild the live set from the protocol's own view.
+    let mut live: Vec<TxnId> = (0..8u64).map(TxnId).collect();
+    live.retain(|&t| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| protocol.base_priority(t))).is_ok()
+    });
+    let mut rounds = 0;
+    while !live.is_empty() {
+        rounds += 1;
+        assert!(rounds <= 64, "{kind:?} failed to drain");
+        // Prefer an unblocked transaction (a commit); fall back to
+        // aborting a blocked one (a deadline firing).
+        let pick = live
+            .iter()
+            .copied()
+            .find(|&t| !protocol.is_blocked(t))
+            .unwrap_or(live[0]);
+        let release = protocol.release_all(pick, ReleaseReason::Finished);
+        live.retain(|&t| t != pick);
+        for w in &release.wakeups {
+            assert!(live.contains(&w.txn), "wakeup for a finished transaction");
+        }
+        protocol.assert_consistent();
+    }
+}
+
+/// The case recorded in `proptest_protocols.proptest-regressions`. The
+/// vendored proptest does not read that file, so it is replayed here.
+#[test]
+fn recorded_ceiling_regression_replays() {
+    let register = |txn, deadline, reads: &[u8], writes: &[u8]| Op::Register {
+        txn,
+        deadline,
+        reads: reads.to_vec(),
+        writes: writes.to_vec(),
+    };
+    let next = |txn| Op::RequestNext { txn };
+    let ops = [
+        register(0, 100, &[2], &[3]),
+        next(0),
+        register(6, 1561, &[3], &[0]),
+        next(6),
+        next(0),
+        register(1, 100, &[], &[2]),
+        next(6),
+    ];
+    for kind in [
+        ProtocolKind::PriorityCeiling,
+        ProtocolKind::PriorityCeilingExclusive,
+    ] {
+        assert_drives_and_drains(kind, &ops);
+    }
+    for kind in ProtocolKind::all() {
+        let _ = drive(kind, &ops);
+    }
+}
+
 proptest! {
     /// The ceiling protocols never *report* a deadlock (they have no
     /// victim mechanism), and every reachable state drains: repeatedly
@@ -175,31 +238,7 @@ proptest! {
     #[test]
     fn ceiling_protocols_always_drain(ops in prop::collection::vec(op_strategy(), 1..120)) {
         for kind in [ProtocolKind::PriorityCeiling, ProtocolKind::PriorityCeilingExclusive] {
-            let (mut protocol, _wfg, deadlocks) = drive(kind, &ops);
-            prop_assert_eq!(deadlocks, 0, "{:?} reported a deadlock", kind);
-            // Rebuild the live set from the protocol's own view.
-            let mut live: Vec<TxnId> = (0..8u64).map(TxnId).collect();
-            live.retain(|&t| std::panic::catch_unwind(
-                std::panic::AssertUnwindSafe(|| protocol.base_priority(t))
-            ).is_ok());
-            let mut rounds = 0;
-            while !live.is_empty() {
-                rounds += 1;
-                prop_assert!(rounds <= 64, "{:?} failed to drain", kind);
-                // Prefer an unblocked transaction (a commit); fall back to
-                // aborting a blocked one (a deadline firing).
-                let pick = live
-                    .iter()
-                    .copied()
-                    .find(|&t| !protocol.is_blocked(t))
-                    .unwrap_or(live[0]);
-                let release = protocol.release_all(pick, ReleaseReason::Finished);
-                live.retain(|&t| t != pick);
-                for w in &release.wakeups {
-                    prop_assert!(live.contains(&w.txn), "wakeup for a finished transaction");
-                }
-                protocol.assert_consistent();
-            }
+            assert_drives_and_drains(kind, &ops);
         }
     }
 

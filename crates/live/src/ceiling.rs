@@ -4,9 +4,12 @@
 //! the gate wraps the *simulator's own* [`PriorityCeilingProtocol`] state
 //! machine in a single mutex: every register / request / release runs the
 //! exact protocol the simulated experiments run, with tracing on, and the
-//! journalled events are stamped (see [`crate::recorder`]) while the gate
-//! is still held — so the merged stream linearizes the gate's history
-//! exactly. Threads denied admission park on a [`WaitSlot`]; whichever
+//! journalled events take their sequence numbers (see
+//! [`crate::recorder`]) while the gate is still held — so the merged
+//! stream linearizes the gate's history exactly. Each call stamps its
+//! whole journal with one clock reading: an acquire with the caller's,
+//! [`LiveCeiling::finish`] with one taken as the release starts. Threads
+//! denied admission park on a [`WaitSlot`]; whichever
 //! thread's release admits them performs the grant inside its own
 //! critical section and signals the slot.
 //!
@@ -44,13 +47,13 @@ struct Gate {
 }
 
 impl Gate {
-    /// Moves the protocol's journalled events into `log`, stamped while
+    /// Moves the protocol's journalled events into `log`, sequenced while
     /// the gate is held — this is what makes the merged stream a valid
-    /// linearization of the gate's history.
-    fn drain(&mut self, rec: &Recorder, log: &mut ThreadLog) {
+    /// linearization of the gate's history — and all stamped `at`.
+    fn drain(&mut self, rec: &Recorder, log: &mut ThreadLog, at: u64) {
         self.proto.drain_events(&mut self.drained);
         for kind in self.drained.drain(..) {
-            log.record(rec, kind);
+            log.record(rec, at, kind);
         }
     }
 }
@@ -87,21 +90,24 @@ impl LiveCeiling {
     }
 
     /// Registers an arriving transaction's declared access sets (which
-    /// raise the per-object ceilings, exactly as in the simulator).
-    pub fn register(&self, rec: &Recorder, log: &mut ThreadLog, spec: &TxnSpec) {
+    /// raise the per-object ceilings, exactly as in the simulator); its
+    /// events are stamped `at`.
+    pub fn register(&self, rec: &Recorder, log: &mut ThreadLog, at: u64, spec: &TxnSpec) {
         let mut g = self.gate.lock().unwrap();
         g.proto.register(spec);
-        g.drain(rec, log);
+        g.drain(rec, log, at);
     }
 
     /// Requests `mode` on `object`, blocking until admitted or
-    /// `deadline`. Wall ticks spent parked accumulate into
-    /// `blocked_ticks`.
+    /// `deadline`. The request's events are stamped `at`, the caller's
+    /// clock reading for this step. Wall ticks spent parked accumulate
+    /// into `blocked_ticks`.
     #[allow(clippy::too_many_arguments)]
     pub fn acquire(
         &self,
         rec: &Recorder,
         log: &mut ThreadLog,
+        at: u64,
         txn: TxnId,
         object: ObjectId,
         mode: LockMode,
@@ -112,7 +118,7 @@ impl LiveCeiling {
         {
             let mut g = self.gate.lock().unwrap();
             let result = g.proto.request(txn, object, mode);
-            g.drain(rec, log);
+            g.drain(rec, log, at);
             match result.outcome {
                 RequestOutcome::Granted => return Acquire::Granted,
                 RequestOutcome::Blocked { .. } => {
@@ -147,11 +153,13 @@ impl LiveCeiling {
 
     /// Releases everything `txn` holds or awaits and retires it from the
     /// active set (lowering ceilings), then grants and wakes whichever
-    /// parked entrants the release admits.
+    /// parked entrants the release admits. One clock reading, taken as
+    /// the call starts, stamps everything it records.
     pub fn finish(&self, rec: &Recorder, log: &mut ThreadLog, txn: TxnId) {
+        let at = rec.now_ticks();
         let mut g = self.gate.lock().unwrap();
         let result = g.proto.release_all(txn, ReleaseReason::Finished);
-        g.drain(rec, log);
+        g.drain(rec, log, at);
         g.slots.remove(&txn);
         for w in result.wakeups {
             if let Some(slot) = g.slots.remove(&w.txn) {

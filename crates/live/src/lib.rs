@@ -11,16 +11,19 @@
 //!
 //! * [`table`] — a sharded, mutex-protected lock table with per-object
 //!   grant queues, condvar wait slots, and an eager global deadlock
-//!   detector, implementing the 2PL family (FIFO, priority queues,
-//!   priority inheritance);
+//!   detector (which a release leaving no waiters never touches),
+//!   implementing the 2PL family (FIFO, priority queues, priority
+//!   inheritance);
 //! * [`ceiling`] — the priority ceiling protocol, run by wrapping the
 //!   *simulator's own* `PriorityCeilingProtocol` state machine in a
 //!   single admission gate mutex, so live and simulated PCP share one
 //!   implementation of the paper's rules;
 //! * [`recorder`] — sequence-stamped per-thread event buffers whose
 //!   merge is a valid linearization of every lock table's history
-//!   (events are stamped inside the critical sections that perform the
-//!   state changes they describe);
+//!   (each event takes its sequence number inside the critical section
+//!   that performs the state change it describes, while the wall clock
+//!   is read once per lock-manager call and passed to every event the
+//!   call records);
 //! * [`runner`] — N worker threads executing generated `workload`
 //!   transactions closed-loop, with per-transaction wall deadlines,
 //!   deadlock-victim restarts, and a deliberately non-atomic shared

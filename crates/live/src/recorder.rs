@@ -14,11 +14,25 @@
 //! oracle's invariants quantify over.
 //!
 //! Timestamps ride along for the metrics sinks: nanoseconds since run
-//! start, divided down to simulated "ticks" (1 µs). Wall clocks are not
-//! guaranteed monotonic *across* the seq order (a thread can read its
-//! clock, lose the CPU, then stamp), so [`Recorder::merge`] clamps
-//! timestamps to be non-decreasing in sequence order — the invariant
-//! every trace consumer assumes.
+//! start, divided down to simulated "ticks" (1 µs). One clock reading
+//! costs tens of nanoseconds, a large share of an uncontended lock
+//! operation, so the clock is read once per lock-manager *call*, not
+//! once per event: the
+//! caller takes a reading ([`Recorder::now_ticks`] or
+//! [`Recorder::ticks_at`]) and passes it to [`ThreadLog::record`] for
+//! every event the call records. An acquire is stamped with the reading
+//! its step's deadline test took; a release with one taken as the
+//! release starts; a waiter that wakes from parking takes a fresh one;
+//! and a terminal commit or abort reads the clock after its release, so
+//! arrival-to-commit latencies never shrink. No event is stamped with a
+//! reading taken before its thread parked or spun.
+//!
+//! A reading is taken before the critical section it stamps, so wall
+//! clocks are not monotonic *across* the seq order (a thread can read
+//! its clock, lose the CPU or wait for a bucket, then take its
+//! sequence numbers); [`Recorder::merge`] clamps timestamps to be
+//! non-decreasing in sequence order — the invariant every trace
+//! consumer assumes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -47,20 +61,15 @@ impl Recorder {
         }
     }
 
-    /// Takes the next global sequence number and the current tick count.
-    /// Call inside the critical section that performs the state change
-    /// the event describes.
-    pub fn stamp(&self) -> (u64, u64) {
-        // Relaxed is enough: RMWs on one atomic have a total modification
-        // order, and the surrounding mutexes provide the happens-before
-        // edges that make that order agree with program order.
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        (seq, self.now_ticks())
+    /// Ticks elapsed since the run started: one clock reading.
+    pub fn now_ticks(&self) -> u64 {
+        self.ticks_at(Instant::now())
     }
 
-    /// Ticks elapsed since the run started.
-    pub fn now_ticks(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64 / TICK_NS
+    /// The tick count of a clock reading the caller already took (for
+    /// example to test a deadline), so one reading serves both.
+    pub fn ticks_at(&self, now: Instant) -> u64 {
+        now.saturating_duration_since(self.start).as_nanos() as u64 / TICK_NS
     }
 
     /// Merges per-thread buffers into one stream ordered by sequence
@@ -100,10 +109,16 @@ impl ThreadLog {
         ThreadLog { events: Vec::new() }
     }
 
-    /// Records `kind` with a fresh stamp from `rec`.
-    pub fn record(&mut self, rec: &Recorder, kind: SimEventKind) {
-        let (seq, ticks) = rec.stamp();
-        self.events.push((seq, ticks, kind));
+    /// Records `kind` at tick `at` — a reading the caller took for the
+    /// whole call — with the next global sequence number. Call inside
+    /// the critical section that performs the state change the event
+    /// describes.
+    pub fn record(&mut self, rec: &Recorder, at: u64, kind: SimEventKind) {
+        // Relaxed is enough: RMWs on one atomic have a total modification
+        // order, and the surrounding mutexes provide the happens-before
+        // edges that make that order agree with program order.
+        let seq = rec.seq.fetch_add(1, Ordering::Relaxed);
+        self.events.push((seq, at, kind));
     }
 
     /// Number of buffered events.
@@ -127,9 +142,9 @@ mod tests {
         let rec = Recorder::new();
         let mut a = ThreadLog::new();
         let mut b = ThreadLog::new();
-        a.record(&rec, SimEventKind::TxnStarted { txn: TxnId(1) });
-        b.record(&rec, SimEventKind::TxnStarted { txn: TxnId(2) });
-        a.record(&rec, SimEventKind::TxnCommitted { txn: TxnId(1) });
+        a.record(&rec, 5, SimEventKind::TxnStarted { txn: TxnId(1) });
+        b.record(&rec, 6, SimEventKind::TxnStarted { txn: TxnId(2) });
+        a.record(&rec, 7, SimEventKind::TxnCommitted { txn: TxnId(1) });
         // Forge a timestamp regression: seq order must win and the
         // merged timestamps stay non-decreasing.
         b.events.push((

@@ -12,6 +12,11 @@
 //! release — against the chosen backend: the sharded [`LiveTable`] for
 //! the 2PL family or the [`LiveCeiling`] admission gate for PCP.
 //!
+//! Each step reads the clock once: that reading tests the deadline and
+//! stamps every event the step's acquire records. Releases take their own
+//! reading, and the terminal commit or abort reads the clock again after
+//! its release (see [`crate::recorder`]).
+//!
 //! Two cross-checks come out of every run:
 //!
 //! * the per-thread event buffers, merged by sequence stamp into one
@@ -214,10 +219,10 @@ impl Backend {
         }
     }
 
-    fn register(&self, rec: &Recorder, log: &mut ThreadLog, spec: &TxnSpec) {
+    fn register(&self, rec: &Recorder, log: &mut ThreadLog, at: u64, spec: &TxnSpec) {
         match self {
             Backend::Table(t) => t.register(spec.id, spec.base_priority()),
-            Backend::Gate(g) => g.register(rec, log, spec),
+            Backend::Gate(g) => g.register(rec, log, at, spec),
         }
     }
 
@@ -226,6 +231,7 @@ impl Backend {
         &self,
         rec: &Recorder,
         log: &mut ThreadLog,
+        at: u64,
         txn: TxnId,
         object: ObjectId,
         mode: LockMode,
@@ -233,8 +239,10 @@ impl Backend {
         blocked_ticks: &mut u64,
     ) -> Acquire {
         match self {
-            Backend::Table(t) => t.acquire(rec, log, txn, object, mode, deadline, blocked_ticks),
-            Backend::Gate(g) => g.acquire(rec, log, txn, object, mode, deadline, blocked_ticks),
+            Backend::Table(t) => {
+                t.acquire(rec, log, at, txn, object, mode, deadline, blocked_ticks)
+            }
+            Backend::Gate(g) => g.acquire(rec, log, at, txn, object, mode, deadline, blocked_ticks),
         }
     }
 
@@ -458,16 +466,19 @@ fn run_txn(
         .ticks()
         .saturating_sub(spec.arrival.ticks())
         .max(1);
-    let deadline = Instant::now() + Duration::from_nanos(relative_ticks * TICK_NS);
+    let claimed = Instant::now();
+    let deadline = claimed + Duration::from_nanos(relative_ticks * TICK_NS);
+    let at = rec.ticks_at(claimed);
     log.record(
         rec,
+        at,
         SimEventKind::TxnArrived {
             txn,
             priority: spec.base_priority(),
         },
     );
-    backend.register(rec, log, spec);
-    log.record(rec, SimEventKind::TxnStarted { txn });
+    backend.register(rec, log, at, spec);
+    log.record(rec, at, SimEventKind::TxnStarted { txn });
 
     // Strict 2PL: reads first, then writes; an object in both sets is
     // read-locked in the growing phase and upgraded at its write.
@@ -482,10 +493,21 @@ fn run_txn(
     let outcome = 'retry: loop {
         let mut held: Vec<(ObjectId, LockMode)> = Vec::new();
         for &(object, mode) in &plan {
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 break 'retry abort_missed(backend, rec, log, txn, &held);
             }
-            match backend.acquire(rec, log, txn, object, mode, deadline, &mut blocked_ticks) {
+            let at = rec.ticks_at(now);
+            match backend.acquire(
+                rec,
+                log,
+                at,
+                txn,
+                object,
+                mode,
+                deadline,
+                &mut blocked_ticks,
+            ) {
                 Acquire::Granted => {
                     held.push((object, mode));
                     busy_work(hold_us);
@@ -498,15 +520,17 @@ fn run_txn(
                     // (non-terminal under restart semantics), retry from
                     // the top if the deadline still allows it.
                     backend.prepare_restart(rec, log, txn, &held);
+                    let now = Instant::now();
                     log.record(
                         rec,
+                        rec.ticks_at(now),
                         SimEventKind::TxnAborted {
                             txn,
                             reason: AbortReason::DeadlockVictim,
                         },
                     );
                     stats.restarts += 1;
-                    if Instant::now() >= deadline {
+                    if now >= deadline {
                         break 'retry abort_missed(backend, rec, log, txn, &[]);
                     }
                     continue 'retry;
@@ -531,7 +555,7 @@ fn run_txn(
             std::hint::black_box(store[obj.0 as usize].load(Ordering::Relaxed));
         }
         backend.finish(rec, log, txn, &held);
-        log.record(rec, SimEventKind::TxnCommitted { txn });
+        log.record(rec, rec.now_ticks(), SimEventKind::TxnCommitted { txn });
         break 'retry TxnOutcome::Committed;
     };
     stats.blocked_hist.record(blocked_ticks);
@@ -549,6 +573,7 @@ fn abort_missed(
     backend.finish(rec, log, txn, held);
     log.record(
         rec,
+        rec.now_ticks(),
         SimEventKind::TxnAborted {
             txn,
             reason: AbortReason::DeadlineMissed,

@@ -19,11 +19,19 @@
 //! The lowest-effective-priority cycle member is poisoned through its
 //! wait slot and aborts itself on wakeup.
 //!
+//! A release that leaves an entry with no waiters skips the detector
+//! altogether: with nobody queued, a grant pass would grant nothing,
+//! sync no edges and check no survivors.
+//!
 //! Event stamping: every `LockRequested` / `LockGranted` / `LockBlocked`
-//! / `LockUpgraded` / `LockReleased` / `DeadlockDetected` is recorded
-//! *inside* the bucket critical section that performs the state change
-//! (see [`crate::recorder`]), so the merged stream linearizes each
-//! object's history exactly as it happened.
+//! / `LockUpgraded` / `LockReleased` / `DeadlockDetected` takes its
+//! sequence number *inside* the bucket critical section that performs
+//! the state change (see [`crate::recorder`]), so the merged stream
+//! linearizes each object's history exactly as it happened. The clock
+//! is read once per call, not per event: [`LiveTable::acquire`] stamps
+//! with the caller's reading, [`LiveTable::release_all`] takes one for
+//! all its releases and grants, and a waiter that wakes takes a fresh
+//! one.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -51,9 +59,11 @@ pub enum Acquire {
     /// The caller was chosen as a deadlock victim: release everything,
     /// emit the abort, and restart the transaction.
     Deadlock,
-    /// The wall-clock deadline expired while waiting (or the caller was
-    /// granted the lock but is now past its deadline — the lock IS held
-    /// and must be released like any other).
+    /// The wall-clock deadline passed while the request was queued —
+    /// possibly before the caller even parked — and the request has been
+    /// withdrawn: the lock is NOT held. A grant that races the timeout
+    /// returns [`Acquire::Granted`] instead, so a timed-out object never
+    /// needs releasing.
     Timeout,
 }
 
@@ -236,13 +246,15 @@ impl LiveTable {
     }
 
     /// Acquires `object` in `mode` for `txn`, blocking until granted,
-    /// poisoned, or `deadline`. Returns the wall ticks spent blocked via
-    /// `blocked_ticks`.
+    /// poisoned, or `deadline`. Events recorded before parking are
+    /// stamped `at`, the caller's clock reading for this step. Returns
+    /// the wall ticks spent blocked via `blocked_ticks`.
     #[allow(clippy::too_many_arguments)]
     pub fn acquire(
         &self,
         rec: &Recorder,
         log: &mut ThreadLog,
+        at: u64,
         txn: TxnId,
         object: ObjectId,
         mode: LockMode,
@@ -253,13 +265,13 @@ impl LiveTable {
         {
             let mut shard = self.shards[shard_of(object)].lock().unwrap();
             let entry = shard.entries.entry(object).or_default();
-            log.record(rec, SimEventKind::LockRequested { txn, object, mode });
+            log.record(rec, at, SimEventKind::LockRequested { txn, object, mode });
 
             // Re-entrant and upgrade paths.
             if let Some(held) = entry.holds(txn) {
                 if mode == LockMode::Read || held == LockMode::Write {
                     // Covering re-grant; the oracle keeps the stronger mode.
-                    log.record(rec, SimEventKind::LockGranted { txn, object, mode });
+                    log.record(rec, at, SimEventKind::LockGranted { txn, object, mode });
                     return Acquire::Granted;
                 }
                 // Read → write upgrade: immediate when sole holder.
@@ -267,19 +279,19 @@ impl LiveTable {
                     for h in &mut entry.holders {
                         h.1 = LockMode::Write;
                     }
-                    log.record(rec, SimEventKind::LockUpgraded { txn, object });
+                    log.record(rec, at, SimEventKind::LockUpgraded { txn, object });
                     return Acquire::Granted;
                 }
-                slot = self.enqueue(rec, log, entry, object, txn, mode, true);
+                slot = self.enqueue(rec, log, at, entry, object, txn, mode, true);
             } else if entry.holders.iter().all(|&(_, m)| m.compatible(mode))
                 && entry.waiters.is_empty()
             {
                 // Fast path: compatible with all holders, nobody queued.
                 entry.holders.push((txn, mode));
-                log.record(rec, SimEventKind::LockGranted { txn, object, mode });
+                log.record(rec, at, SimEventKind::LockGranted { txn, object, mode });
                 return Acquire::Granted;
             } else {
-                slot = self.enqueue(rec, log, entry, object, txn, mode, false);
+                slot = self.enqueue(rec, log, at, entry, object, txn, mode, false);
             }
 
             // Still under the bucket: sync the detector with the new
@@ -287,24 +299,26 @@ impl LiveTable {
             let mut det = self.detector.lock().unwrap();
             det.slots.insert(txn, slot.clone());
             self.sync_entry_edges(entry, &mut det);
-            self.detect_from(rec, log, &mut det, txn);
+            self.detect_from(rec, log, at, &mut det, txn);
         }
 
-        // Park until granted, poisoned, or the deadline.
+        // Park until granted, poisoned, or the deadline; whatever the
+        // waiter records after waking is stamped with a fresh reading.
         let wait_started = rec.now_ticks();
         let outcome = wait_until(&slot, deadline);
-        *blocked_ticks += rec.now_ticks().saturating_sub(wait_started);
+        let woke = rec.now_ticks();
+        *blocked_ticks += woke.saturating_sub(wait_started);
         match outcome {
             WaitState::Granted => Acquire::Granted,
             WaitState::Victim => {
-                self.abandon_wait(rec, log, txn, object);
+                self.abandon_wait(rec, log, woke, txn, object);
                 Acquire::Deadlock
             }
             WaitState::Waiting => {
                 // Timed out. Dequeue under the bucket — unless a racing
                 // grant got there first, in which case we own the lock
                 // (and the caller's deadline check will release it).
-                if self.abandon_wait(rec, log, txn, object) {
+                if self.abandon_wait(rec, log, woke, txn, object) {
                     return Acquire::Timeout;
                 }
                 // Not queued any more: a granter dequeued us between the
@@ -321,7 +335,8 @@ impl LiveTable {
 
     /// Releases every lock in `held`, waking whoever becomes grantable.
     /// `held` is the caller's own record of its grants, in acquire order;
-    /// locks are released in reverse.
+    /// locks are released in reverse. One clock reading, taken as the
+    /// call starts, stamps every release and grant it records.
     pub fn release_all(
         &self,
         rec: &Recorder,
@@ -329,16 +344,21 @@ impl LiveTable {
         txn: TxnId,
         held: &[(ObjectId, LockMode)],
     ) {
+        let at = rec.now_ticks();
         for &(object, _) in held.iter().rev() {
             let mut shard = self.shards[shard_of(object)].lock().unwrap();
             if let Some(entry) = shard.entries.get_mut(&object) {
                 let before = entry.holders.len();
                 entry.holders.retain(|&(t, _)| t != txn);
                 if entry.holders.len() != before {
-                    log.record(rec, SimEventKind::LockReleased { txn, object });
+                    log.record(rec, at, SimEventKind::LockReleased { txn, object });
                 }
-                let mut det = self.detector.lock().unwrap();
-                self.grant_pass(rec, log, entry, object, &mut det);
+                // With nobody queued a grant pass is a no-op, so the
+                // detector stays untouched.
+                if !entry.waiters.is_empty() {
+                    let mut det = self.detector.lock().unwrap();
+                    self.grant_pass(rec, log, at, entry, object, &mut det);
+                }
                 if entry.is_idle() {
                     shard.entries.remove(&object);
                 }
@@ -381,6 +401,7 @@ impl LiveTable {
         &self,
         rec: &Recorder,
         log: &mut ThreadLog,
+        at: u64,
         entry: &mut Entry,
         object: ObjectId,
         txn: TxnId,
@@ -403,6 +424,7 @@ impl LiveTable {
             .or_else(|| entry.waiters.first().map(|w| w.txn));
         log.record(
             rec,
+            at,
             SimEventKind::LockBlocked {
                 txn,
                 object,
@@ -431,14 +453,14 @@ impl LiveTable {
             }
         }
         if self.inheritance {
-            self.inherit(rec, log, entry, level);
+            self.inherit(rec, log, at, entry, level);
         }
         slot
     }
 
     /// Raises every conflicting holder's effective priority to at least
     /// `level` (priority inheritance), recording the donations.
-    fn inherit(&self, rec: &Recorder, log: &mut ThreadLog, entry: &Entry, level: i64) {
+    fn inherit(&self, rec: &Recorder, log: &mut ThreadLog, at: u64, entry: &Entry, level: i64) {
         let mut det = self.detector.lock().unwrap();
         for &(holder, _) in &entry.holders {
             let cur = det.level.get(&holder).copied().unwrap_or(i64::MIN);
@@ -446,6 +468,7 @@ impl LiveTable {
                 det.level.insert(holder, level);
                 log.record(
                     rec,
+                    at,
                     SimEventKind::PriorityInherited {
                         txn: holder,
                         priority: Priority::new(level),
@@ -474,6 +497,7 @@ impl LiveTable {
         &self,
         rec: &Recorder,
         log: &mut ThreadLog,
+        at: u64,
         txn: TxnId,
         object: ObjectId,
     ) -> bool {
@@ -486,7 +510,7 @@ impl LiveTable {
         det.slots.remove(&txn);
         det.victims.remove(&txn);
         det.wfg.clear_waiter(txn);
-        self.grant_pass(rec, log, entry, object, &mut det);
+        self.grant_pass(rec, log, at, entry, object, &mut det);
         if entry.is_idle() {
             shard.entries.remove(&object);
         }
@@ -502,6 +526,7 @@ impl LiveTable {
         &self,
         rec: &Recorder,
         log: &mut ThreadLog,
+        at: u64,
         entry: &mut Entry,
         object: ObjectId,
         det: &mut Detector,
@@ -528,11 +553,12 @@ impl LiveTable {
                 for h in &mut entry.holders {
                     h.1 = LockMode::Write;
                 }
-                log.record(rec, SimEventKind::LockUpgraded { txn: w.txn, object });
+                log.record(rec, at, SimEventKind::LockUpgraded { txn: w.txn, object });
             } else {
                 entry.holders.push((w.txn, w.mode));
                 log.record(
                     rec,
+                    at,
                     SimEventKind::LockGranted {
                         txn: w.txn,
                         object,
@@ -552,7 +578,7 @@ impl LiveTable {
             .map(|w| w.txn)
             .collect();
         for t in survivors {
-            self.detect_from(rec, log, det, t);
+            self.detect_from(rec, log, at, det, t);
         }
     }
 
@@ -595,7 +621,14 @@ impl LiveTable {
 
     /// Cycle check from `start`; on a hit, poisons the lowest-priority
     /// member and records `DeadlockDetected`. Bucket + detector held.
-    fn detect_from(&self, rec: &Recorder, log: &mut ThreadLog, det: &mut Detector, start: TxnId) {
+    fn detect_from(
+        &self,
+        rec: &Recorder,
+        log: &mut ThreadLog,
+        at: u64,
+        det: &mut Detector,
+        start: TxnId,
+    ) {
         let Some(cycle) = det.wfg.cycle_from(start) else {
             return;
         };
@@ -612,7 +645,7 @@ impl LiveTable {
         det.deadlocks += 1;
         det.victims.insert(victim);
         det.wfg.clear_waiter(victim);
-        log.record(rec, SimEventKind::DeadlockDetected { victim });
+        log.record(rec, at, SimEventKind::DeadlockDetected { victim });
         if let Some(slot) = det.slots.get(&victim) {
             slot.wake(WaitState::Victim);
         }

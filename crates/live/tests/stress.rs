@@ -15,14 +15,19 @@
 //!    waiters (lost wakeups) and leftover holders (leaked locks).
 //! 3. **Store consistency** — the runner's shared store must match the
 //!    committed write sets exactly.
+//! 4. **Stamp fidelity** — one clock reading stamps a whole lock-manager
+//!    call, so the test checks that no stamp is taken before busy work it
+//!    should come after: releases and commits must trail the work done
+//!    under the locks they end.
 //!
 //! Everything is seeded: thread interleavings vary, but the workloads
 //! and decision points are deterministic functions of the seed.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use monitor::{CheckConfig, CheckSink};
+use monitor::{CheckConfig, CheckSink, SimEventKind};
 use rtdb::{LockMode, ObjectId, TxnId};
 use rtlock_live::runner::{run_live, LiveConfig, LiveProtocol};
 use rtlock_live::table::{Acquire, LiveQueue, LiveTable};
@@ -90,6 +95,7 @@ fn direct_table_write_contention_has_no_double_grants() {
                     match table.acquire(
                         rec,
                         &mut log,
+                        rec.now_ticks(),
                         txn,
                         object,
                         LockMode::Write,
@@ -153,6 +159,7 @@ fn direct_table_upgrades_are_exclusive() {
                         let read = table.acquire(
                             rec,
                             &mut log,
+                            rec.now_ticks(),
                             txn,
                             object,
                             LockMode::Read,
@@ -171,6 +178,7 @@ fn direct_table_upgrades_are_exclusive() {
                         match table.acquire(
                             rec,
                             &mut log,
+                            rec.now_ticks(),
                             txn,
                             object,
                             LockMode::Write,
@@ -239,6 +247,7 @@ fn deadlocks_are_detected_and_victims_released() {
                             match table.acquire(
                                 rec,
                                 &mut log,
+                                rec.now_ticks(),
                                 txn,
                                 obj,
                                 LockMode::Write,
@@ -359,5 +368,63 @@ fn single_thread_run_matches_the_simulated_invariants_exactly() {
         );
         assert!(report.store_consistent);
         assert_oracle_clean(&report, protocol.is_ceiling());
+    }
+}
+
+#[test]
+fn stamps_trail_the_work_done_under_each_lock() {
+    // One worker, 40 µs of busy work after every grant and deadlines far
+    // beyond the run: every transaction commits, its commit comes at
+    // least four holds after its arrival, and each object's release comes
+    // at least one hold after that object's last grant. A release or
+    // commit stamped with an earlier acquire's reading breaks one of the
+    // two. (One tick is 1 µs; stamps are floored, hence the −1.)
+    const HOLD_US: u64 = 40;
+    const SIZE: u32 = 4;
+    for protocol in LiveProtocol::all() {
+        let mut config = LiveConfig::new(protocol, 1);
+        config.db_size = 200;
+        config.txn_size = SIZE;
+        config.txn_count = 50;
+        config.hold_us = HOLD_US;
+        config.slack_factor = 100.0;
+        let report = run_live(&config);
+        assert_eq!(report.committed, config.txn_count, "{}", report.protocol);
+
+        let mut arrived = HashMap::new();
+        let mut granted = HashMap::new();
+        let mut released = 0;
+        for (at, event) in &report.events {
+            let at = at.ticks();
+            match event.kind {
+                SimEventKind::TxnArrived { txn, .. } => {
+                    arrived.insert(txn, at);
+                }
+                SimEventKind::LockGranted { txn, object, .. }
+                | SimEventKind::LockUpgraded { txn, object } => {
+                    granted.insert((txn, object), at);
+                }
+                SimEventKind::LockReleased { txn, object } => {
+                    let last_grant = granted[&(txn, object)];
+                    assert!(
+                        at >= last_grant + HOLD_US - 1,
+                        "{}: {txn} released {object} at {at}, {} ticks after its last grant",
+                        report.protocol,
+                        at - last_grant
+                    );
+                    released += 1;
+                }
+                SimEventKind::TxnCommitted { txn } => {
+                    let latency = at - arrived[&txn];
+                    assert!(
+                        latency >= u64::from(SIZE) * HOLD_US - 1,
+                        "{}: {txn} committed {latency} ticks after arriving",
+                        report.protocol
+                    );
+                }
+                _ => {}
+            }
+        }
+        assert!(released > 0, "{}: no releases recorded", report.protocol);
     }
 }

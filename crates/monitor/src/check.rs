@@ -160,6 +160,8 @@ impl fmt::Display for Violation {
 }
 
 type Anchor = (SimTime, SimEvent);
+/// One held range latch: (site, lo, hi, mode, grant event).
+type HeldLatch = (u8, u32, u32, LockMode, Anchor);
 /// One physical copy of an object: `(site, object)`.
 type CopyKey = (u8, u32);
 
@@ -255,8 +257,8 @@ pub struct CheckSink {
     /// Per copy: append-only install history as (ticks, version) — the
     /// ground truth a snapshot read at any pin is checked against.
     installs: FxHashMap<CopyKey, Vec<(u64, u64)>>,
-    /// Held range latches: holder → (site, lo, hi, mode, grant event).
-    latches: FxHashMap<TxnId, Vec<(u8, u32, u32, LockMode, Anchor)>>,
+    /// Held range latches, by holder.
+    latches: FxHashMap<TxnId, Vec<HeldLatch>>,
     latch_waiters: FxHashMap<TxnId, Anchor>,
 
     // --- replicas / faults -----------------------------------------------
@@ -628,11 +630,8 @@ impl CheckSink {
                 vec![anchor],
             );
         }
-        let mut leftover_latch_waiters: Vec<(TxnId, Anchor)> = self
-            .latch_waiters
-            .iter()
-            .map(|(&t, &a)| (t, a))
-            .collect();
+        let mut leftover_latch_waiters: Vec<(TxnId, Anchor)> =
+            self.latch_waiters.iter().map(|(&t, &a)| (t, a)).collect();
         leftover_latch_waiters.sort_unstable_by_key(|&(t, _)| t);
         for (txn, anchor) in leftover_latch_waiters {
             self.violation(
@@ -859,7 +858,9 @@ impl CheckSink {
         if psite != site {
             self.violation(
                 "snapshot-consistency",
-                format!("{txn} pinned its snapshot at site {psite} but read {object} at site {site}"),
+                format!(
+                    "{txn} pinned its snapshot at site {psite} but read {object} at site {site}"
+                ),
                 vec![pin_anchor, anchor],
             );
             return;
@@ -934,7 +935,9 @@ impl CheckSink {
             conflicting.push(anchor);
             self.violation(
                 "latch-compatibility",
-                format!("{txn} acquired range latch {lo}..{hi} overlapping an incompatible held latch"),
+                format!(
+                    "{txn} acquired range latch {lo}..{hi} overlapping an incompatible held latch"
+                ),
                 conflicting,
             );
         }
@@ -1866,7 +1869,9 @@ mod tests {
                 (12, committed(2)),
             ],
         );
-        assert!(violations.iter().any(|v| v.invariant == "snapshot-consistency"));
+        assert!(violations
+            .iter()
+            .any(|v| v.invariant == "snapshot-consistency"));
     }
 
     #[test]
@@ -1887,7 +1892,9 @@ mod tests {
                 (12, committed(2)),
             ],
         );
-        assert!(violations.iter().any(|v| v.invariant == "snapshot-consistency"));
+        assert!(violations
+            .iter()
+            .any(|v| v.invariant == "snapshot-consistency"));
     }
 
     #[test]
@@ -1896,7 +1903,9 @@ mod tests {
             CheckConfig::default(),
             &[(0, arrived(2)), (1, snap_read(2, 5, 0)), (2, committed(2))],
         );
-        assert!(violations.iter().any(|v| v.invariant == "snapshot-consistency"));
+        assert!(violations
+            .iter()
+            .any(|v| v.invariant == "snapshot-consistency"));
     }
 
     #[test]
@@ -1936,7 +1945,9 @@ mod tests {
                 (12, committed(2)),
             ],
         );
-        assert!(violations.iter().any(|v| v.invariant == "gc-pinned-eviction"));
+        assert!(violations
+            .iter()
+            .any(|v| v.invariant == "gc-pinned-eviction"));
     }
 
     #[test]
@@ -1983,7 +1994,9 @@ mod tests {
                 (2, latch(2, 4, 8, LockMode::Read)),
             ],
         );
-        assert!(violations.iter().any(|v| v.invariant == "latch-compatibility"));
+        assert!(violations
+            .iter()
+            .any(|v| v.invariant == "latch-compatibility"));
     }
 
     #[test]

@@ -205,7 +205,10 @@ pub fn write_jsonl_line(out: &mut String, at: SimTime, event: &SimEvent) {
             hi,
             blocker,
         } => {
-            out.push_str(&format!(",\"txn\":{},\"lo\":{},\"hi\":{}", txn.0, lo.0, hi.0));
+            out.push_str(&format!(
+                ",\"txn\":{},\"lo\":{},\"hi\":{}",
+                txn.0, lo.0, hi.0
+            ));
             push_opt_txn(out, "blocker", blocker);
         }
         SimEventKind::RangeLatchReleased { txn } => {

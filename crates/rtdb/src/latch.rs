@@ -121,7 +121,13 @@ impl RangeLatchManager {
     ///
     /// Panics if `lo > hi`, or if `txn` is already queued — a blocked
     /// transaction cannot issue further requests.
-    pub fn acquire(&mut self, txn: TxnId, lo: ObjectId, hi: ObjectId, mode: LockMode) -> LatchOutcome {
+    pub fn acquire(
+        &mut self,
+        txn: TxnId,
+        lo: ObjectId,
+        hi: ObjectId,
+        mode: LockMode,
+    ) -> LatchOutcome {
         assert!(lo.0 <= hi.0, "range latch bounds inverted: {lo}..{hi}");
         assert!(
             !self.waiters.iter().any(|w| w.txn == txn),
@@ -240,15 +246,27 @@ impl RangeLatchManager {
 mod tests {
     use super::*;
 
-    fn acquire(lm: &mut RangeLatchManager, txn: u64, lo: u32, hi: u32, mode: LockMode) -> LatchOutcome {
+    fn acquire(
+        lm: &mut RangeLatchManager,
+        txn: u64,
+        lo: u32,
+        hi: u32,
+        mode: LockMode,
+    ) -> LatchOutcome {
         lm.acquire(TxnId(txn), ObjectId(lo), ObjectId(hi), mode)
     }
 
     #[test]
     fn disjoint_writes_share() {
         let mut lm = RangeLatchManager::new();
-        assert_eq!(acquire(&mut lm, 1, 0, 4, LockMode::Write), LatchOutcome::Granted);
-        assert_eq!(acquire(&mut lm, 2, 5, 9, LockMode::Write), LatchOutcome::Granted);
+        assert_eq!(
+            acquire(&mut lm, 1, 0, 4, LockMode::Write),
+            LatchOutcome::Granted
+        );
+        assert_eq!(
+            acquire(&mut lm, 2, 5, 9, LockMode::Write),
+            LatchOutcome::Granted
+        );
         lm.check_invariants();
         assert_eq!(lm.held_count(), 2);
     }
@@ -256,8 +274,14 @@ mod tests {
     #[test]
     fn overlapping_readers_share() {
         let mut lm = RangeLatchManager::new();
-        assert_eq!(acquire(&mut lm, 1, 0, 9, LockMode::Read), LatchOutcome::Granted);
-        assert_eq!(acquire(&mut lm, 2, 5, 15, LockMode::Read), LatchOutcome::Granted);
+        assert_eq!(
+            acquire(&mut lm, 1, 0, 9, LockMode::Read),
+            LatchOutcome::Granted
+        );
+        assert_eq!(
+            acquire(&mut lm, 2, 5, 15, LockMode::Read),
+            LatchOutcome::Granted
+        );
         lm.check_invariants();
     }
 
@@ -322,7 +346,10 @@ mod tests {
     fn own_latches_never_conflict() {
         let mut lm = RangeLatchManager::new();
         acquire(&mut lm, 1, 0, 9, LockMode::Read);
-        assert_eq!(acquire(&mut lm, 1, 4, 4, LockMode::Write), LatchOutcome::Granted);
+        assert_eq!(
+            acquire(&mut lm, 1, 4, 4, LockMode::Write),
+            LatchOutcome::Granted
+        );
         assert!(lm.holds(TxnId(1)));
         assert_eq!(lm.held_count(), 2);
     }
@@ -346,7 +373,10 @@ mod tests {
     fn adjacent_ranges_do_not_overlap() {
         let mut lm = RangeLatchManager::new();
         acquire(&mut lm, 1, 0, 4, LockMode::Write);
-        assert_eq!(acquire(&mut lm, 2, 5, 5, LockMode::Write), LatchOutcome::Granted);
+        assert_eq!(
+            acquire(&mut lm, 2, 5, 5, LockMode::Write),
+            LatchOutcome::Granted
+        );
     }
 
     #[test]
