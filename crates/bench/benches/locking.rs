@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtdb::{LockMode, LockTable, ObjectId, QueuePolicy, SiteId, TxnId, TxnSpec, WaitsForGraph};
 use rtlock::protocols::{LockProtocol, PriorityCeilingProtocol, ReleaseReason};
-use rtlock_live::{Acquire, LiveCeiling, LiveQueue, LiveTable, Recorder, ThreadLog};
+use rtlock_live::{Acquire, LiveGate, LiveProtocol, Recorder, ThreadLog};
 use starlite::{Priority, SimTime};
 
 fn bench_lock_table(c: &mut Criterion) {
@@ -145,9 +145,10 @@ fn bench_wfg(c: &mut Criterion) {
 
 fn bench_live_uncontended(c: &mut Criterion) {
     // The `live-overhead` shape on one thread: a registered transaction
-    // reads 16 and writes 16 of 10⁵ objects, then releases them all,
-    // recording every event into a fresh per-iteration log — the live
-    // lock path, uncontended latches and the recorder, nothing else.
+    // reads 16 and writes 16 of 10⁵ objects, then finishes, recording
+    // every event into a fresh per-iteration log — the live lock path
+    // through the gate, its uncontended latch and the recorder, nothing
+    // else. One arm per live protocol.
     let mut group = c.benchmark_group("locking/live/uncontended_32");
     group.sample_size(200);
     let txn = TxnId(1);
@@ -158,67 +159,43 @@ fn bench_live_uncontended(c: &mut Criterion) {
         .map(|&o| (o, LockMode::Read))
         .chain(writes.iter().map(|&o| (o, LockMode::Write)))
         .collect();
+    let spec = TxnSpec::new(
+        txn,
+        SimTime::ZERO,
+        reads.to_vec(),
+        writes.to_vec(),
+        SimTime::from_ticks(1_000_000),
+        SiteId(0),
+    );
     let deadline = Instant::now() + Duration::from_secs(3_600);
     let rec = Recorder::new();
 
-    group.bench_function("fifo_table", |b| {
-        let table = LiveTable::new(LiveQueue::Fifo, false);
-        b.iter(|| {
-            let mut log = ThreadLog::new();
-            let mut blocked = 0;
-            table.register(txn, Priority::new(0));
-            for &(object, mode) in &plan {
-                let at = rec.now_ticks();
-                let outcome = table.acquire(
-                    &rec,
-                    &mut log,
-                    at,
-                    txn,
-                    object,
-                    mode,
-                    deadline,
-                    &mut blocked,
-                );
-                assert_eq!(outcome, Acquire::Granted);
-            }
-            table.release_all(&rec, &mut log, txn, &plan);
-            table.deregister(txn);
-            log.len()
+    for protocol in LiveProtocol::all() {
+        group.bench_function(protocol.name(), |b| {
+            let gate = LiveGate::new(protocol);
+            b.iter(|| {
+                let mut log = ThreadLog::new();
+                let mut blocked = 0;
+                gate.register(&rec, &mut log, rec.now_ticks(), &spec);
+                for &(object, mode) in &plan {
+                    let at = rec.now_ticks();
+                    let outcome = gate.acquire(
+                        &rec,
+                        &mut log,
+                        at,
+                        txn,
+                        object,
+                        mode,
+                        deadline,
+                        &mut blocked,
+                    );
+                    assert_eq!(outcome, Acquire::Granted);
+                }
+                gate.finish(&rec, &mut log, txn, true);
+                log.len()
+            });
         });
-    });
-
-    group.bench_function("ceiling_gate", |b| {
-        let gate = LiveCeiling::new(false);
-        let spec = TxnSpec::new(
-            txn,
-            SimTime::ZERO,
-            reads.to_vec(),
-            writes.to_vec(),
-            SimTime::from_ticks(1_000_000),
-            SiteId(0),
-        );
-        b.iter(|| {
-            let mut log = ThreadLog::new();
-            let mut blocked = 0;
-            gate.register(&rec, &mut log, rec.now_ticks(), &spec);
-            for &(object, mode) in &plan {
-                let at = rec.now_ticks();
-                let outcome = gate.acquire(
-                    &rec,
-                    &mut log,
-                    at,
-                    txn,
-                    object,
-                    mode,
-                    deadline,
-                    &mut blocked,
-                );
-                assert_eq!(outcome, Acquire::Granted);
-            }
-            gate.finish(&rec, &mut log, txn);
-            log.len()
-        });
-    });
+    }
     group.finish();
 }
 

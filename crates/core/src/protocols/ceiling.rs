@@ -240,32 +240,6 @@ impl PriorityCeilingProtocol {
         self.active.len()
     }
 
-    /// Asserts the protocol is completely idle: no lock held, no waiter
-    /// queued, no transaction registered. A drained simulation must leave
-    /// every site's protocol in this state — a leftover entry means a
-    /// release was lost (the chaos tests gate on this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any lock, waiter, or registration remains.
-    pub fn assert_idle(&self) {
-        assert!(
-            self.locked.is_empty(),
-            "{} objects still locked after drain",
-            self.locked.len()
-        );
-        assert!(
-            self.blocked.is_empty(),
-            "{} requests still blocked after drain",
-            self.blocked.len()
-        );
-        assert!(
-            self.active.is_empty(),
-            "{} transactions still registered after drain",
-            self.active.len()
-        );
-    }
-
     /// The rw-priority ceiling of `obj` under the given lock mode.
     fn rw_ceiling(&self, obj: ObjectId, locked_mode: LockMode) -> Priority {
         match (self.semantics, locked_mode) {
@@ -866,6 +840,26 @@ impl LockProtocol for PriorityCeilingProtocol {
 
     fn drain_events(&mut self, out: &mut Vec<SimEventKind>) {
         out.append(&mut self.journal);
+    }
+
+    // A drained simulation must leave every site's protocol idle; the
+    // distributed chaos tests gate on it.
+    fn assert_idle(&self) {
+        assert!(
+            self.locked.is_empty(),
+            "{} objects still locked after drain",
+            self.locked.len()
+        );
+        assert!(
+            self.blocked.is_empty(),
+            "{} requests still blocked after drain",
+            self.blocked.len()
+        );
+        assert!(
+            self.active.is_empty(),
+            "{} transactions still registered after drain",
+            self.active.len()
+        );
     }
 
     fn assert_consistent(&self) {

@@ -12,8 +12,7 @@ use std::fmt;
 
 use monitor::SimEventKind;
 use rtdb::{
-    LockEvent, LockMode, LockOutcome, LockTable, ObjectId, QueuePolicy, TxnId, TxnSpec,
-    WaitsForGraph,
+    LockMode, LockOutcome, LockTable, ObjectId, QueuePolicy, TxnId, TxnSpec, WaitsForGraph,
 };
 use starlite::{FxHashMap, Priority};
 
@@ -39,8 +38,10 @@ pub struct InheritanceProtocol {
     scratch_edges: FxHashMap<TxnId, Vec<TxnId>>,
     scratch_eff: FxHashMap<TxnId, Priority>,
     trace: bool,
+    /// Protocol events, each behind the table events that preceded it
+    /// (see [`Self::journal`]); later table events stay in the table's own
+    /// journal until [`LockProtocol::drain_events`].
     journal: Vec<SimEventKind>,
-    scratch_lock_events: Vec<LockEvent>,
 }
 
 impl fmt::Debug for InheritanceProtocol {
@@ -68,27 +69,23 @@ impl InheritanceProtocol {
             scratch_eff: FxHashMap::default(),
             trace: false,
             journal: Vec::new(),
-            scratch_lock_events: Vec::new(),
         }
     }
 
-    /// Converts the lock table's journal into unified events, preserving
-    /// order. A no-op with tracing off (the table journal stays empty).
-    fn pull_table_journal(&mut self) {
-        if !self.trace {
-            return;
-        }
-        self.table.drain_journal(&mut self.scratch_lock_events);
+    /// Journals protocol events behind every table event recorded before
+    /// them, so draining keeps call order.
+    fn journal(&mut self, events: impl IntoIterator<Item = SimEventKind>) {
         self.journal
-            .extend(self.scratch_lock_events.drain(..).map(SimEventKind::from));
+            .extend(self.table.drain_journal().map(SimEventKind::from));
+        self.journal.extend(events);
     }
 
     /// Journals the inheritance side effects of one protocol call.
     fn journal_priority_updates(&mut self, updates: &[(TxnId, Priority)]) {
-        if !self.trace {
+        if !self.trace || updates.is_empty() {
             return;
         }
-        self.journal.extend(
+        self.journal(
             updates
                 .iter()
                 .map(|&(txn, priority)| SimEventKind::PriorityInherited { txn, priority }),
@@ -110,8 +107,8 @@ impl InheritanceProtocol {
         let mut anomalies: Vec<TxnId> = Vec::new();
         let mut eff = std::mem::take(&mut self.scratch_eff);
         effective_priorities_into(&self.base, &blocked_by, &mut anomalies, &mut eff);
-        if self.trace {
-            self.journal.extend(
+        if self.trace && !anomalies.is_empty() {
+            self.journal(
                 anomalies
                     .into_iter()
                     .map(|txn| SimEventKind::ProtocolAnomaly {
@@ -150,7 +147,6 @@ impl LockProtocol for InheritanceProtocol {
     fn request(&mut self, txn: TxnId, object: ObjectId, mode: LockMode) -> RequestResult {
         let priority = self.effective_priority(txn);
         let outcome = self.table.request(txn, object, mode, priority);
-        self.pull_table_journal();
         match outcome {
             LockOutcome::Granted => RequestResult::granted(),
             LockOutcome::Waiting { blockers } => {
@@ -159,7 +155,7 @@ impl LockProtocol for InheritanceProtocol {
                     self.deadlocks += 1;
                     let victim = select_victim(&cycle, self.victim_policy, &self.base);
                     if self.trace {
-                        self.journal.push(SimEventKind::DeadlockDetected { victim });
+                        self.journal([SimEventKind::DeadlockDetected { victim }]);
                     }
                     return RequestResult {
                         outcome: RequestOutcome::Deadlock { victim },
@@ -182,7 +178,6 @@ impl LockProtocol for InheritanceProtocol {
 
     fn release_all(&mut self, txn: TxnId, reason: ReleaseReason) -> ReleaseResult {
         let granted = self.table.release_all(txn);
-        self.pull_table_journal();
         self.wfg.remove_txn(txn);
         let wakeups: Vec<Wakeup> = granted
             .into_iter()
@@ -247,8 +242,20 @@ impl LockProtocol for InheritanceProtocol {
         self.table.set_tracing(on);
     }
 
+    fn assert_idle(&self) {
+        self.table.assert_idle();
+        assert!(
+            self.base.is_empty() && self.effective.is_empty(),
+            "{} transactions still registered",
+            self.base.len()
+        );
+    }
+
     fn drain_events(&mut self, out: &mut Vec<SimEventKind>) {
+        // Table events convert straight into `out`; only those older than
+        // a protocol event ever pass through `self.journal`.
         out.append(&mut self.journal);
+        out.extend(self.table.drain_journal().map(SimEventKind::from));
     }
 }
 

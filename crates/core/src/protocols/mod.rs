@@ -148,6 +148,15 @@ pub trait LockProtocol: fmt::Debug {
     /// Validates internal invariants (test hook; default no-op).
     fn assert_consistent(&self) {}
 
+    /// Asserts the protocol is completely idle: no lock held, no waiter
+    /// queued, no transaction registered — the state every drained run
+    /// must leave behind. A leftover entry means a release was lost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any lock, waiter or registration remains.
+    fn assert_idle(&self);
+
     /// Turns structured event journalling on or off (see
     /// [`drain_events`](LockProtocol::drain_events)). Protocols that do not
     /// journal ignore this. Off by default; with tracing off the hot paths
@@ -162,7 +171,8 @@ pub trait LockProtocol: fmt::Debug {
     fn drain_events(&mut self, _out: &mut Vec<SimEventKind>) {}
 }
 
-/// Instantiates the protocol for `kind`.
+/// Instantiates the protocol for `kind`. The box is `Send` so a live
+/// lock manager can move it behind a mutex shared by worker threads.
 ///
 /// # Example
 ///
@@ -173,7 +183,10 @@ pub trait LockProtocol: fmt::Debug {
 /// let p = make_protocol(ProtocolKind::PriorityCeiling, VictimPolicy::LowestPriority);
 /// assert_eq!(p.name(), "priority-ceiling");
 /// ```
-pub fn make_protocol(kind: ProtocolKind, victim_policy: VictimPolicy) -> Box<dyn LockProtocol> {
+pub fn make_protocol(
+    kind: ProtocolKind,
+    victim_policy: VictimPolicy,
+) -> Box<dyn LockProtocol + Send> {
     match kind {
         ProtocolKind::TwoPhaseLocking => {
             Box::new(TwoPhaseLockingProtocol::without_priority(victim_policy))

@@ -190,6 +190,15 @@ impl LockProtocol for TimestampOrderingProtocol {
     fn drain_events(&mut self, out: &mut Vec<SimEventKind>) {
         out.append(&mut self.journal);
     }
+
+    fn assert_idle(&self) {
+        // Timestamp ordering holds no locks and never queues anyone.
+        assert!(
+            self.ts.is_empty(),
+            "{} transactions still registered",
+            self.ts.len()
+        );
+    }
 }
 
 #[cfg(test)]

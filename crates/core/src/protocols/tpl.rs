@@ -18,8 +18,7 @@ use std::fmt;
 
 use monitor::SimEventKind;
 use rtdb::{
-    LockEvent, LockMode, LockOutcome, LockTable, ObjectId, QueuePolicy, TxnId, TxnSpec,
-    WaitsForGraph,
+    LockMode, LockOutcome, LockTable, ObjectId, QueuePolicy, TxnId, TxnSpec, WaitsForGraph,
 };
 use starlite::{FxHashMap, Priority};
 
@@ -41,8 +40,10 @@ pub struct TwoPhaseLockingProtocol {
     scratch_waiters: Vec<TxnId>,
     scratch_blockers: Vec<TxnId>,
     trace: bool,
+    /// Protocol events, each behind the table events that preceded it
+    /// (see [`Self::journal`]); later table events stay in the table's own
+    /// journal until [`LockProtocol::drain_events`].
     journal: Vec<SimEventKind>,
-    scratch_lock_events: Vec<LockEvent>,
 }
 
 impl fmt::Debug for TwoPhaseLockingProtocol {
@@ -69,7 +70,6 @@ impl TwoPhaseLockingProtocol {
             scratch_blockers: Vec::new(),
             trace: false,
             journal: Vec::new(),
-            scratch_lock_events: Vec::new(),
         }
     }
 
@@ -86,7 +86,6 @@ impl TwoPhaseLockingProtocol {
             scratch_blockers: Vec::new(),
             trace: false,
             journal: Vec::new(),
-            scratch_lock_events: Vec::new(),
         }
     }
 
@@ -99,15 +98,12 @@ impl TwoPhaseLockingProtocol {
         select_victim(cycle, self.victim_policy, &self.base)
     }
 
-    /// Converts the lock table's journal into unified events, preserving
-    /// order. A no-op with tracing off (the table journal stays empty).
-    fn pull_table_journal(&mut self) {
-        if !self.trace {
-            return;
-        }
-        self.table.drain_journal(&mut self.scratch_lock_events);
+    /// Journals a protocol event behind every table event recorded before
+    /// it, so draining keeps call order.
+    fn journal(&mut self, event: SimEventKind) {
         self.journal
-            .extend(self.scratch_lock_events.drain(..).map(SimEventKind::from));
+            .extend(self.table.drain_journal().map(SimEventKind::from));
+        self.journal.push(event);
     }
 
     /// Rebuilds waits-for edges for every still-waiting transaction; the
@@ -157,7 +153,6 @@ impl LockProtocol for TwoPhaseLockingProtocol {
     fn request(&mut self, txn: TxnId, object: ObjectId, mode: LockMode) -> RequestResult {
         let priority = self.base_priority(txn);
         let outcome = self.table.request(txn, object, mode, priority);
-        self.pull_table_journal();
         match outcome {
             LockOutcome::Granted => RequestResult::granted(),
             LockOutcome::Waiting { blockers } => {
@@ -166,7 +161,7 @@ impl LockProtocol for TwoPhaseLockingProtocol {
                     self.deadlocks += 1;
                     let victim = self.select_victim(&cycle);
                     if self.trace {
-                        self.journal.push(SimEventKind::DeadlockDetected { victim });
+                        self.journal(SimEventKind::DeadlockDetected { victim });
                     }
                     return RequestResult {
                         outcome: RequestOutcome::Deadlock { victim },
@@ -190,7 +185,6 @@ impl LockProtocol for TwoPhaseLockingProtocol {
 
     fn release_all(&mut self, txn: TxnId, reason: ReleaseReason) -> ReleaseResult {
         let granted = self.table.release_all(txn);
-        self.pull_table_journal();
         self.wfg.remove_txn(txn);
         let wakeups: Vec<Wakeup> = granted
             .into_iter()
@@ -245,13 +239,25 @@ impl LockProtocol for TwoPhaseLockingProtocol {
         self.table.check_invariants();
     }
 
+    fn assert_idle(&self) {
+        self.table.assert_idle();
+        assert!(
+            self.base.is_empty(),
+            "{} transactions still registered",
+            self.base.len()
+        );
+    }
+
     fn set_tracing(&mut self, on: bool) {
         self.trace = on;
         self.table.set_tracing(on);
     }
 
     fn drain_events(&mut self, out: &mut Vec<SimEventKind>) {
+        // Table events convert straight into `out`; only those older than
+        // a protocol event ever pass through `self.journal`.
         out.append(&mut self.journal);
+        out.extend(self.table.drain_journal().map(SimEventKind::from));
     }
 }
 

@@ -9,21 +9,18 @@
 //!
 //! The pieces:
 //!
-//! * [`table`] — a sharded, mutex-protected lock table with per-object
-//!   grant queues, condvar wait slots, and an eager global deadlock
-//!   detector (which a release leaving no waiters never touches),
-//!   implementing the 2PL family (FIFO, priority queues, priority
-//!   inheritance);
-//! * [`ceiling`] — the priority ceiling protocol, run by wrapping the
-//!   *simulator's own* `PriorityCeilingProtocol` state machine in a
-//!   single admission gate mutex, so live and simulated PCP share one
+//! * [`gate`] — the one live lock manager: the *simulator's own*
+//!   `LockProtocol` state machine for the run's protocol (2PL,
+//!   priority-queue 2PL, priority inheritance or the priority ceiling
+//!   protocol) behind a single mutex, with condvar wait slots for
+//!   denied requests and deadlock victims restarted inside the critical
+//!   section that found the cycle — so live and simulated runs share one
 //!   implementation of the paper's rules;
 //! * [`recorder`] — sequence-stamped per-thread event buffers whose
-//!   merge is a valid linearization of every lock table's history
-//!   (each event takes its sequence number inside the critical section
-//!   that performs the state change it describes, while the wall clock
-//!   is read once per lock-manager call and passed to every event the
-//!   call records);
+//!   merge is a valid linearization of the gate's history (each event
+//!   takes its sequence number inside the critical section that performs
+//!   the state change it describes, while the wall clock is read once per
+//!   lock-manager call and passed to every event the call records);
 //! * [`runner`] — N worker threads executing generated `workload`
 //!   transactions closed-loop, with per-transaction wall deadlines,
 //!   deadlock-victim restarts, and a deliberately non-atomic shared
@@ -56,12 +53,10 @@
 //! assert!(sink.finish().is_empty());
 //! ```
 
-pub mod ceiling;
+pub mod gate;
 pub mod recorder;
 pub mod runner;
-pub mod table;
 
-pub use ceiling::LiveCeiling;
+pub use gate::{Acquire, LiveGate};
 pub use recorder::{Recorder, ThreadLog, TICK_NS};
 pub use runner::{run_live, LiveConfig, LiveProtocol, LiveReport};
-pub use table::{Acquire, LiveQueue, LiveTable, WaitSlot};

@@ -5,13 +5,13 @@
 //! real-threads run has neither, so ordering is reconstructed from a
 //! global atomic **sequence counter**: every recorded event takes
 //! `seq = SEQ.fetch_add(1)` at the moment it logically happens, and
-//! lock-state events take it *inside* the bucket (or ceiling-gate)
-//! critical section that performs the state change. Atomic RMWs on one
-//! cell form a single modification order, so any event that
-//! happens-after another gets a larger sequence number; sorting the
-//! merged per-thread buffers by `seq` therefore yields a linearization
-//! consistent with every lock table's actual history — exactly what the
-//! oracle's invariants quantify over.
+//! lock-state events take it *inside* the gate critical section that
+//! performs the state change. Atomic RMWs on one cell form a single
+//! modification order, so any event that happens-after another gets a
+//! larger sequence number; sorting the merged per-thread buffers by
+//! `seq` therefore yields a linearization consistent with the lock
+//! manager's actual history — exactly what the oracle's invariants
+//! quantify over.
 //!
 //! Timestamps ride along for the metrics sinks: nanoseconds since run
 //! start, divided down to simulated "ticks" (1 µs). One clock reading
@@ -29,7 +29,7 @@
 //!
 //! A reading is taken before the critical section it stamps, so wall
 //! clocks are not monotonic *across* the seq order (a thread can read
-//! its clock, lose the CPU or wait for a bucket, then take its
+//! its clock, lose the CPU or wait for the gate, then take its
 //! sequence numbers); [`Recorder::merge`] clamps timestamps to be
 //! non-decreasing in sequence order — the invariant every trace
 //! consumer assumes.

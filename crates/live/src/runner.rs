@@ -9,8 +9,11 @@
 //! nanoseconds at [`TICK_NS`](crate::recorder::TICK_NS) from the claim
 //! instant. Workers then run the classic strict-2PL shape — acquire every
 //! lock (reads first, then writes), do the work while holding, commit,
-//! release — against the chosen backend: the sharded [`LiveTable`] for
-//! the 2PL family or the [`LiveCeiling`] admission gate for PCP.
+//! release — through one [`LiveGate`] around the protocol's state
+//! machine. A deadlock victim's locks are released by the gate that
+//! picked it, so a worker keeps no list of what it holds: it retries from
+//! its first lock, and its one [`LiveGate::finish`] releases whatever the
+//! protocol says it holds.
 //!
 //! Each step reads the clock once: that reading tests the deadline and
 //! stamps every event the step's acquire records. Releases take their own
@@ -32,13 +35,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use monitor::{AbortReason, Histogram, SimEvent, SimEventKind};
-use rtdb::{Catalog, LockMode, ObjectId, Placement, TxnId, TxnSpec};
+use rtdb::{Catalog, LockMode, ObjectId, Placement, TxnSpec};
 use starlite::{SimDuration, SimTime};
 use workload::{Generator, SizeDistribution, WorkloadSpec};
 
-use crate::ceiling::LiveCeiling;
+use crate::gate::{Acquire, LiveGate};
 use crate::recorder::{Recorder, ThreadLog, TICK_NS};
-use crate::table::{Acquire, LiveQueue, LiveTable};
 
 /// Which locking protocol the live run executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,12 +77,13 @@ impl LiveProtocol {
     }
 
     /// Whether the protocol is ceiling-based — selects the oracle config
-    /// ([`monitor::CheckConfig::live`]) and the backend.
+    /// ([`monitor::CheckConfig::live`]).
     pub fn is_ceiling(self) -> bool {
         matches!(self, LiveProtocol::Ceiling)
     }
 
-    /// The matching simulator protocol, for side-by-side comparison runs.
+    /// The simulator protocol the live gate runs (and the simulated
+    /// counterpart in side-by-side comparison runs).
     pub fn sim_kind(self) -> rtlock::ProtocolKind {
         match self {
             LiveProtocol::TwoPhase => rtlock::ProtocolKind::TwoPhaseLocking,
@@ -147,6 +150,27 @@ impl LiveConfig {
             ..LiveConfig::new(protocol, threads)
         }
     }
+
+    /// The transactions a run of this configuration executes, in arrival
+    /// order: the same `workload` generator the simulated experiments
+    /// use.
+    pub fn transactions(&self) -> Vec<TxnSpec> {
+        let catalog = Catalog::new(self.db_size, 1, Placement::SingleSite);
+        let workload = WorkloadSpec::builder()
+            .txn_count(self.txn_count)
+            .mean_interarrival(SimDuration::from_ticks(
+                (self.per_object_cost * self.txn_size as u64).max(1),
+            ))
+            .size(SizeDistribution::Fixed(self.txn_size))
+            .read_only_fraction(self.read_only_fraction)
+            .write_fraction(0.5)
+            .deadline(
+                self.slack_factor,
+                SimDuration::from_ticks(self.per_object_cost),
+            )
+            .build();
+        Generator::new(&workload, &catalog).generate(self.seed)
+    }
 }
 
 /// What one live run produced.
@@ -200,114 +224,6 @@ impl LiveReport {
     }
 }
 
-/// The two lock-manager backends behind one call surface. The gate is
-/// boxed so the enum stays small either way (one allocation per run).
-enum Backend {
-    Table(LiveTable),
-    Gate(Box<LiveCeiling>),
-}
-
-impl Backend {
-    fn for_protocol(protocol: LiveProtocol) -> Self {
-        match protocol {
-            LiveProtocol::TwoPhase => Backend::Table(LiveTable::new(LiveQueue::Fifo, false)),
-            LiveProtocol::TwoPhasePriority => {
-                Backend::Table(LiveTable::new(LiveQueue::Priority, false))
-            }
-            LiveProtocol::Inheritance => Backend::Table(LiveTable::new(LiveQueue::Priority, true)),
-            LiveProtocol::Ceiling => Backend::Gate(Box::new(LiveCeiling::new(false))),
-        }
-    }
-
-    fn register(&self, rec: &Recorder, log: &mut ThreadLog, at: u64, spec: &TxnSpec) {
-        match self {
-            Backend::Table(t) => t.register(spec.id, spec.base_priority()),
-            Backend::Gate(g) => g.register(rec, log, at, spec),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn acquire(
-        &self,
-        rec: &Recorder,
-        log: &mut ThreadLog,
-        at: u64,
-        txn: TxnId,
-        object: ObjectId,
-        mode: LockMode,
-        deadline: Instant,
-        blocked_ticks: &mut u64,
-    ) -> Acquire {
-        match self {
-            Backend::Table(t) => {
-                t.acquire(rec, log, at, txn, object, mode, deadline, blocked_ticks)
-            }
-            Backend::Gate(g) => g.acquire(rec, log, at, txn, object, mode, deadline, blocked_ticks),
-        }
-    }
-
-    /// Releases everything and retires the transaction (terminal exit —
-    /// commit or deadline abort).
-    fn finish(
-        &self,
-        rec: &Recorder,
-        log: &mut ThreadLog,
-        txn: TxnId,
-        held: &[(ObjectId, LockMode)],
-    ) {
-        match self {
-            Backend::Table(t) => {
-                t.release_all(rec, log, txn, held);
-                t.deregister(txn);
-            }
-            Backend::Gate(g) => g.finish(rec, log, txn),
-        }
-    }
-
-    /// Releases everything but keeps the transaction registered, for a
-    /// deadlock-victim restart (2PL family only — the ceiling gate is
-    /// deadlock-free).
-    fn prepare_restart(
-        &self,
-        rec: &Recorder,
-        log: &mut ThreadLog,
-        txn: TxnId,
-        held: &[(ObjectId, LockMode)],
-    ) {
-        match self {
-            Backend::Table(t) => {
-                t.release_all(rec, log, txn, held);
-                t.reset_priority(txn);
-            }
-            Backend::Gate(_) => unreachable!("ceiling admission is deadlock-free"),
-        }
-    }
-
-    fn deadlocks(&self) -> u64 {
-        match self {
-            Backend::Table(t) => t.deadlocks(),
-            Backend::Gate(_) => 0,
-        }
-    }
-
-    fn ceiling_blocks(&self) -> u64 {
-        match self {
-            Backend::Table(_) => 0,
-            Backend::Gate(g) => g.ceiling_blocks(),
-        }
-    }
-
-    fn assert_quiescent(&self) {
-        match self {
-            Backend::Table(t) => {
-                t.assert_compatible();
-                assert!(t.idle(), "live lock table not idle after drain");
-            }
-            Backend::Gate(g) => g.assert_idle(),
-        }
-    }
-}
-
 /// How one transaction attempt ended.
 enum TxnOutcome {
     Committed,
@@ -343,26 +259,13 @@ fn busy_work(us: u64) {
 /// # Panics
 ///
 /// Panics if `threads` is zero or a worker thread panics (a poisoned
-/// bucket mutex inside the run surfaces here too).
+/// gate mutex inside the run surfaces here too), or if the protocol is
+/// not idle once every worker has finished.
 pub fn run_live(config: &LiveConfig) -> LiveReport {
     assert!(config.threads > 0, "need at least one worker thread");
-    let catalog = Catalog::new(config.db_size, 1, Placement::SingleSite);
-    let workload = WorkloadSpec::builder()
-        .txn_count(config.txn_count)
-        .mean_interarrival(SimDuration::from_ticks(
-            (config.per_object_cost * config.txn_size as u64).max(1),
-        ))
-        .size(SizeDistribution::Fixed(config.txn_size))
-        .read_only_fraction(config.read_only_fraction)
-        .write_fraction(0.5)
-        .deadline(
-            config.slack_factor,
-            SimDuration::from_ticks(config.per_object_cost),
-        )
-        .build();
-    let specs = Generator::new(&workload, &catalog).generate(config.seed);
+    let specs = config.transactions();
 
-    let backend = Backend::for_protocol(config.protocol);
+    let gate = LiveGate::new(config.protocol);
     let rec = Recorder::new();
     let next = AtomicUsize::new(0);
     let store: Vec<AtomicU64> = (0..config.db_size).map(|_| AtomicU64::new(0)).collect();
@@ -378,7 +281,7 @@ pub fn run_live(config: &LiveConfig) -> LiveReport {
                         let idx = next.fetch_add(1, Ordering::Relaxed);
                         let Some(spec) = specs.get(idx) else { break };
                         let outcome = run_txn(
-                            &backend,
+                            &gate,
                             &rec,
                             &mut log,
                             spec,
@@ -404,7 +307,7 @@ pub fn run_live(config: &LiveConfig) -> LiveReport {
             .collect()
     });
     let wall = started.elapsed();
-    backend.assert_quiescent();
+    gate.assert_idle();
 
     // Store-consistency expectation: each committed transaction bumped
     // every object in its write set exactly once, under a write lock.
@@ -429,8 +332,8 @@ pub fn run_live(config: &LiveConfig) -> LiveReport {
         .zip(&expected)
         .all(|(s, &e)| s.load(Ordering::Relaxed) == e);
 
-    let deadlocks = backend.deadlocks();
-    let ceiling_blocks = backend.ceiling_blocks();
+    let deadlocks = gate.deadlocks();
+    let ceiling_blocks = gate.ceiling_blocks();
     let events = Recorder::merge(results.drain(..).map(|(log, _)| log).collect());
 
     LiveReport {
@@ -452,7 +355,7 @@ pub fn run_live(config: &LiveConfig) -> LiveReport {
 /// Runs one transaction to a terminal event: commit, or abort at its
 /// wall deadline (restarting through deadlock-victim aborts on the way).
 fn run_txn(
-    backend: &Backend,
+    gate: &LiveGate,
     rec: &Recorder,
     log: &mut ThreadLog,
     spec: &TxnSpec,
@@ -469,15 +372,7 @@ fn run_txn(
     let claimed = Instant::now();
     let deadline = claimed + Duration::from_nanos(relative_ticks * TICK_NS);
     let at = rec.ticks_at(claimed);
-    log.record(
-        rec,
-        at,
-        SimEventKind::TxnArrived {
-            txn,
-            priority: spec.base_priority(),
-        },
-    );
-    backend.register(rec, log, at, spec);
+    gate.register(rec, log, at, spec);
     log.record(rec, at, SimEventKind::TxnStarted { txn });
 
     // Strict 2PL: reads first, then writes; an object in both sets is
@@ -491,14 +386,13 @@ fn run_txn(
 
     let mut blocked_ticks = 0u64;
     let outcome = 'retry: loop {
-        let mut held: Vec<(ObjectId, LockMode)> = Vec::new();
         for &(object, mode) in &plan {
             let now = Instant::now();
             if now >= deadline {
-                break 'retry abort_missed(backend, rec, log, txn, &held);
+                break 'retry TxnOutcome::Missed;
             }
             let at = rec.ticks_at(now);
-            match backend.acquire(
+            match gate.acquire(
                 rec,
                 log,
                 at,
@@ -508,18 +402,13 @@ fn run_txn(
                 deadline,
                 &mut blocked_ticks,
             ) {
-                Acquire::Granted => {
-                    held.push((object, mode));
-                    busy_work(hold_us);
-                }
-                Acquire::Timeout => {
-                    break 'retry abort_missed(backend, rec, log, txn, &held);
-                }
+                Acquire::Granted => busy_work(hold_us),
+                Acquire::Timeout => break 'retry TxnOutcome::Missed,
                 Acquire::Deadlock => {
-                    // Chosen as a deadlock victim: release, abort
-                    // (non-terminal under restart semantics), retry from
-                    // the top if the deadline still allows it.
-                    backend.prepare_restart(rec, log, txn, &held);
+                    // Chosen as a deadlock victim: the gate has released
+                    // everything. Abort (non-terminal under restart
+                    // semantics) and retry from the top if the deadline
+                    // still allows it.
                     let now = Instant::now();
                     log.record(
                         rec,
@@ -531,7 +420,7 @@ fn run_txn(
                     );
                     stats.restarts += 1;
                     if now >= deadline {
-                        break 'retry abort_missed(backend, rec, log, txn, &[]);
+                        break 'retry TxnOutcome::Missed;
                     }
                     continue 'retry;
                 }
@@ -540,7 +429,7 @@ fn run_txn(
         // All locks held; the commit decision is made before touching the
         // store so a last-instant miss leaves no trace in it.
         if Instant::now() >= deadline {
-            break 'retry abort_missed(backend, rec, log, txn, &held);
+            break 'retry TxnOutcome::Missed;
         }
         // The increment is deliberately a non-atomic read-modify-write —
         // only write-lock exclusivity keeps it from losing updates, which
@@ -554,30 +443,9 @@ fn run_txn(
         for obj in &spec.read_set {
             std::hint::black_box(store[obj.0 as usize].load(Ordering::Relaxed));
         }
-        backend.finish(rec, log, txn, &held);
-        log.record(rec, rec.now_ticks(), SimEventKind::TxnCommitted { txn });
         break 'retry TxnOutcome::Committed;
     };
+    gate.finish(rec, log, txn, matches!(outcome, TxnOutcome::Committed));
     stats.blocked_hist.record(blocked_ticks);
     outcome
-}
-
-/// The deadline-miss exit: release everything, then the terminal abort.
-fn abort_missed(
-    backend: &Backend,
-    rec: &Recorder,
-    log: &mut ThreadLog,
-    txn: TxnId,
-    held: &[(ObjectId, LockMode)],
-) -> TxnOutcome {
-    backend.finish(rec, log, txn, held);
-    log.record(
-        rec,
-        rec.now_ticks(),
-        SimEventKind::TxnAborted {
-            txn,
-            reason: AbortReason::DeadlineMissed,
-        },
-    );
-    TxnOutcome::Missed
 }

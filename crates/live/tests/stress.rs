@@ -1,14 +1,16 @@
 //! Seeded multi-thread stress tests for the live lock manager.
 //!
-//! Three layers of evidence that grant / upgrade / release are sound
+//! Four layers of evidence that grant / upgrade / release are sound
 //! under real concurrency:
 //!
-//! 1. **Direct table pounding** — worker threads hammer a tiny object
-//!    set through [`LiveTable`] with generous deadlines. Mutual
-//!    exclusion is witnessed by non-atomic counters that only write-lock
-//!    exclusivity keeps exact; completion itself witnesses the absence
-//!    of lost wakeups (a dropped grant would strand a waiter until its
-//!    multi-second deadline and trip the grant-count assertions).
+//! 1. **Direct gate pounding** — worker threads hammer a tiny object set
+//!    through [`LiveGate`] with generous deadlines, for each protocol of
+//!    the 2PL family. Mutual exclusion is witnessed by non-atomic
+//!    counters that only write-lock exclusivity keeps exact; completion
+//!    itself witnesses the absence of lost wakeups (a dropped grant would
+//!    strand a waiter until its multi-second deadline and trip the
+//!    grant-count assertions), and a directed test pins down the race of
+//!    a timeout against a victim pick.
 //! 2. **Full runs through the oracle** — every protocol's merged event
 //!    stream replays through `CheckSink`, whose lock-compatibility check
 //!    rejects double grants and whose finish pass rejects leftover
@@ -27,12 +29,18 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use monitor::{CheckConfig, CheckSink, SimEventKind};
-use rtdb::{LockMode, ObjectId, TxnId};
+use monitor::{AbortReason, CheckConfig, CheckSink, SimEvent, SimEventKind};
+use rtdb::{LockMode, ObjectId, SiteId, TxnId, TxnSpec};
 use rtlock_live::runner::{run_live, LiveConfig, LiveProtocol};
-use rtlock_live::table::{Acquire, LiveQueue, LiveTable};
-use rtlock_live::{Recorder, ThreadLog};
-use starlite::{EventSink, Priority};
+use rtlock_live::{Acquire, LiveGate, Recorder, ThreadLog};
+use starlite::{EventSink, SimTime};
+
+/// The protocols that can deadlock, and so restart victims.
+const TWO_PHASE_FAMILY: [LiveProtocol; 3] = [
+    LiveProtocol::TwoPhase,
+    LiveProtocol::TwoPhasePriority,
+    LiveProtocol::Inheritance,
+];
 
 /// Tiny deterministic generator (splitmix64) for per-thread decisions.
 struct Rng(u64);
@@ -47,135 +55,76 @@ impl Rng {
     }
 }
 
-/// Replays a live report through the oracle and asserts zero violations.
-fn assert_oracle_clean(report: &rtlock_live::LiveReport, ceiling: bool) {
+/// A transaction declaring `reads` and `writes`; an earlier `deadline`
+/// gives it a higher priority.
+fn spec(txn: TxnId, reads: &[ObjectId], writes: &[ObjectId], deadline: u64) -> TxnSpec {
+    TxnSpec::new(
+        txn,
+        SimTime::ZERO,
+        reads.to_vec(),
+        writes.to_vec(),
+        SimTime::from_ticks(deadline),
+        SiteId(0),
+    )
+}
+
+/// Replays a merged stream through the oracle and asserts zero
+/// violations.
+fn assert_events_clean(label: &str, events: &[(SimTime, SimEvent)], ceiling: bool) {
     let mut sink = CheckSink::new(CheckConfig::live(ceiling));
-    for &(at, event) in &report.events {
+    for &(at, event) in events {
         sink.emit(at, event);
     }
     let violations = sink.finish();
     assert!(
         violations.is_empty(),
-        "{}: {} oracle violations, first: {:?}",
-        report.protocol,
+        "{label}: {} oracle violations, first: {:?}",
         violations.len(),
         violations.first()
     );
 }
 
-#[test]
-fn direct_table_write_contention_has_no_double_grants() {
-    // 8 threads × 60 iterations over 4 objects, all write locks, FIFO
-    // queues: every grant enters a non-atomic increment on its object's
-    // cell. Any double grant loses an increment; any lost wakeup strands
-    // a thread until the 30 s deadline and desyncs the counts too.
-    const THREADS: u64 = 8;
-    const ITERS: u64 = 60;
-    const OBJECTS: u64 = 4;
-    let table = LiveTable::new(LiveQueue::Fifo, false);
-    let rec = Recorder::new();
-    let cells: Vec<AtomicU64> = (0..OBJECTS).map(|_| AtomicU64::new(0)).collect();
-    let granted: Vec<AtomicU64> = (0..OBJECTS).map(|_| AtomicU64::new(0)).collect();
-
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let table = &table;
-            let rec = &rec;
-            let cells = &cells;
-            let granted = &granted;
-            scope.spawn(move || {
-                let mut log = ThreadLog::new();
-                let mut rng = Rng(0xA11CE + t);
-                let deadline = Instant::now() + Duration::from_secs(30);
-                for i in 0..ITERS {
-                    let txn = TxnId(1 + t * ITERS + i);
-                    table.register(txn, Priority::new(0));
-                    let object = ObjectId((rng.next() % OBJECTS) as u32);
-                    let mut blocked = 0u64;
-                    match table.acquire(
-                        rec,
-                        &mut log,
-                        rec.now_ticks(),
-                        txn,
-                        object,
-                        LockMode::Write,
-                        deadline,
-                        &mut blocked,
-                    ) {
-                        Acquire::Granted => {
-                            granted[object.0 as usize].fetch_add(1, Ordering::Relaxed);
-                            let cell = &cells[object.0 as usize];
-                            let v = cell.load(Ordering::Relaxed);
-                            std::hint::spin_loop();
-                            cell.store(v + 1, Ordering::Relaxed);
-                            table.release_all(rec, &mut log, txn, &[(object, LockMode::Write)]);
-                        }
-                        other => panic!("unexpected outcome {other:?} for {txn}"),
-                    }
-                    table.deregister(txn);
-                }
-            });
-        }
-    });
-
-    assert!(table.idle(), "table not idle after drain");
-    for (i, (cell, g)) in cells.iter().zip(&granted).enumerate() {
-        assert_eq!(
-            cell.load(Ordering::Relaxed),
-            g.load(Ordering::Relaxed),
-            "object {i}: lost update — write locks were not exclusive"
-        );
-    }
+/// Replays a live report through the oracle and asserts zero violations.
+fn assert_oracle_clean(report: &rtlock_live::LiveReport, ceiling: bool) {
+    assert_events_clean(report.protocol, &report.events, ceiling);
 }
 
 #[test]
-fn direct_table_upgrades_are_exclusive() {
-    // Threads read-lock the single object, then upgrade to write. The
-    // upgrade must wait out every co-reader, so the non-atomic counter
-    // stays exact. Deadlocked upgrade pairs (both readers want write)
-    // are poisoned; victims release and retry.
-    const THREADS: u64 = 6;
-    const ITERS: u64 = 40;
-    let table = LiveTable::new(LiveQueue::Fifo, false);
-    let rec = Recorder::new();
-    let cell = AtomicU64::new(0);
-    let commits = AtomicU64::new(0);
-    let object = ObjectId(0);
+fn direct_gate_write_contention_has_no_double_grants() {
+    // 8 threads × 60 iterations over 4 objects, all write locks: every
+    // grant enters a non-atomic increment on its object's cell. Any
+    // double grant loses an increment; any lost wakeup strands a thread
+    // until the 30 s deadline and desyncs the counts too.
+    const THREADS: u64 = 8;
+    const ITERS: u64 = 60;
+    const OBJECTS: u64 = 4;
+    for protocol in TWO_PHASE_FAMILY {
+        let gate = LiveGate::new(protocol);
+        let rec = Recorder::new();
+        let cells: Vec<AtomicU64> = (0..OBJECTS).map(|_| AtomicU64::new(0)).collect();
+        let granted: Vec<AtomicU64> = (0..OBJECTS).map(|_| AtomicU64::new(0)).collect();
 
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let table = &table;
-            let rec = &rec;
-            let cell = &cell;
-            let commits = &commits;
-            scope.spawn(move || {
-                let mut log = ThreadLog::new();
-                let deadline = Instant::now() + Duration::from_secs(30);
-                for i in 0..ITERS {
-                    let txn = TxnId(1 + t * ITERS + i);
-                    table.register(txn, Priority::new(t as i64));
-                    loop {
-                        let mut blocked = 0u64;
-                        let read = table.acquire(
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let gate = &gate;
+                let rec = &rec;
+                let cells = &cells;
+                let granted = &granted;
+                scope.spawn(move || {
+                    let mut log = ThreadLog::new();
+                    let mut rng = Rng(0xA11CE + t);
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    for i in 0..ITERS {
+                        let txn = TxnId(1 + t * ITERS + i);
+                        let object = ObjectId((rng.next() % OBJECTS) as u32);
+                        gate.register(
                             rec,
                             &mut log,
                             rec.now_ticks(),
-                            txn,
-                            object,
-                            LockMode::Read,
-                            deadline,
-                            &mut blocked,
+                            &spec(txn, &[], &[object], 1),
                         );
-                        assert!(
-                            matches!(read, Acquire::Granted | Acquire::Deadlock),
-                            "read acquire returned {read:?}"
-                        );
-                        if read == Acquire::Deadlock {
-                            table.release_all(rec, &mut log, txn, &[]);
-                            table.reset_priority(txn);
-                            continue;
-                        }
-                        match table.acquire(
+                        let mut blocked = 0u64;
+                        match gate.acquire(
                             rec,
                             &mut log,
                             rec.now_ticks(),
@@ -186,35 +135,121 @@ fn direct_table_upgrades_are_exclusive() {
                             &mut blocked,
                         ) {
                             Acquire::Granted => {
+                                granted[object.0 as usize].fetch_add(1, Ordering::Relaxed);
+                                let cell = &cells[object.0 as usize];
                                 let v = cell.load(Ordering::Relaxed);
                                 std::hint::spin_loop();
                                 cell.store(v + 1, Ordering::Relaxed);
-                                commits.fetch_add(1, Ordering::Relaxed);
-                                table.release_all(rec, &mut log, txn, &[(object, LockMode::Write)]);
-                                break;
+                                gate.finish(rec, &mut log, txn, true);
                             }
-                            Acquire::Deadlock => {
-                                // Two upgraders deadlocked; this one was
-                                // poisoned. Release the read lock and retry.
-                                table.release_all(rec, &mut log, txn, &[(object, LockMode::Read)]);
-                                table.reset_priority(txn);
-                            }
-                            Acquire::Timeout => panic!("upgrade timed out under 30 s deadline"),
+                            other => panic!(
+                                "{}: unexpected outcome {other:?} for {txn}",
+                                protocol.name()
+                            ),
                         }
                     }
-                    table.deregister(txn);
-                }
-            });
-        }
-    });
+                });
+            }
+        });
 
-    assert!(table.idle(), "table not idle after drain");
-    assert_eq!(
-        cell.load(Ordering::Relaxed),
-        commits.load(Ordering::Relaxed),
-        "lost update through a non-exclusive upgrade"
-    );
-    assert_eq!(commits.load(Ordering::Relaxed), THREADS * ITERS);
+        gate.assert_idle();
+        for (i, (cell, g)) in cells.iter().zip(&granted).enumerate() {
+            assert_eq!(
+                cell.load(Ordering::Relaxed),
+                g.load(Ordering::Relaxed),
+                "{}: object {i}: lost update — write locks were not exclusive",
+                protocol.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn direct_gate_upgrades_are_exclusive() {
+    // Threads read-lock the single object, then upgrade to write. The
+    // upgrade must wait out every co-reader, so the non-atomic counter
+    // stays exact. Deadlocked upgrade pairs (both readers want write)
+    // are broken by the gate, which releases the victim's read lock; the
+    // victim retries.
+    const THREADS: u64 = 6;
+    const ITERS: u64 = 40;
+    let object = ObjectId(0);
+    for protocol in TWO_PHASE_FAMILY {
+        let gate = LiveGate::new(protocol);
+        let rec = Recorder::new();
+        let cell = AtomicU64::new(0);
+        let commits = AtomicU64::new(0);
+
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let gate = &gate;
+                let rec = &rec;
+                let cell = &cell;
+                let commits = &commits;
+                scope.spawn(move || {
+                    let mut log = ThreadLog::new();
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    for i in 0..ITERS {
+                        let txn = TxnId(1 + t * ITERS + i);
+                        let declared = spec(txn, &[], &[object], 100 - t);
+                        gate.register(rec, &mut log, rec.now_ticks(), &declared);
+                        loop {
+                            let mut blocked = 0u64;
+                            let read = gate.acquire(
+                                rec,
+                                &mut log,
+                                rec.now_ticks(),
+                                txn,
+                                object,
+                                LockMode::Read,
+                                deadline,
+                                &mut blocked,
+                            );
+                            assert!(
+                                matches!(read, Acquire::Granted | Acquire::Deadlock),
+                                "read acquire returned {read:?}"
+                            );
+                            if read == Acquire::Deadlock {
+                                continue;
+                            }
+                            match gate.acquire(
+                                rec,
+                                &mut log,
+                                rec.now_ticks(),
+                                txn,
+                                object,
+                                LockMode::Write,
+                                deadline,
+                                &mut blocked,
+                            ) {
+                                Acquire::Granted => {
+                                    let v = cell.load(Ordering::Relaxed);
+                                    std::hint::spin_loop();
+                                    cell.store(v + 1, Ordering::Relaxed);
+                                    commits.fetch_add(1, Ordering::Relaxed);
+                                    gate.finish(rec, &mut log, txn, true);
+                                    break;
+                                }
+                                // Two upgraders deadlocked and this one was
+                                // the victim: its read lock is gone; retry.
+                                Acquire::Deadlock => {}
+                                Acquire::Timeout => panic!("upgrade timed out under 30 s deadline"),
+                            }
+                        }
+                    }
+                });
+            }
+        });
+
+        gate.assert_idle();
+        assert_eq!(
+            cell.load(Ordering::Relaxed),
+            commits.load(Ordering::Relaxed),
+            "{}: lost update through a non-exclusive upgrade",
+            protocol.name()
+        );
+        assert_eq!(commits.load(Ordering::Relaxed), THREADS * ITERS);
+    }
 }
 
 #[test]
@@ -222,61 +257,133 @@ fn deadlocks_are_detected_and_victims_released() {
     // Two threads lock (A then B) and (B then A) repeatedly with long
     // deadlines: timeouts can't resolve the cycles, so only detection
     // can. The run finishing at all proves every cycle was broken and
-    // the victim's departure woke the survivor.
-    let table = LiveTable::new(LiveQueue::Fifo, false);
-    let rec = Recorder::new();
+    // the victim's release woke the survivor.
     let a = ObjectId(0);
     let b = ObjectId(1);
     const ITERS: u64 = 50;
+    for protocol in TWO_PHASE_FAMILY {
+        let gate = LiveGate::new(protocol);
+        let rec = Recorder::new();
 
-    std::thread::scope(|scope| {
-        for t in 0..2u64 {
-            let table = &table;
-            let rec = &rec;
-            scope.spawn(move || {
-                let mut log = ThreadLog::new();
-                let deadline = Instant::now() + Duration::from_secs(60);
-                let (first, second) = if t == 0 { (a, b) } else { (b, a) };
-                for i in 0..ITERS {
-                    let txn = TxnId(1 + t * ITERS + i);
-                    table.register(txn, Priority::new(t as i64));
-                    'txn: loop {
-                        let mut blocked = 0u64;
-                        let mut held: Vec<(ObjectId, LockMode)> = Vec::new();
-                        for obj in [first, second] {
-                            match table.acquire(
-                                rec,
-                                &mut log,
-                                rec.now_ticks(),
-                                txn,
-                                obj,
-                                LockMode::Write,
-                                deadline,
-                                &mut blocked,
-                            ) {
-                                Acquire::Granted => held.push((obj, LockMode::Write)),
-                                Acquire::Deadlock => {
-                                    table.release_all(rec, &mut log, txn, &held);
-                                    table.reset_priority(txn);
-                                    continue 'txn;
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let gate = &gate;
+                let rec = &rec;
+                scope.spawn(move || {
+                    let mut log = ThreadLog::new();
+                    let deadline = Instant::now() + Duration::from_secs(60);
+                    let (first, second) = if t == 0 { (a, b) } else { (b, a) };
+                    for i in 0..ITERS {
+                        let txn = TxnId(1 + t * ITERS + i);
+                        let declared = spec(txn, &[], &[first, second], 100 - t);
+                        gate.register(rec, &mut log, rec.now_ticks(), &declared);
+                        'txn: loop {
+                            let mut blocked = 0u64;
+                            for obj in [first, second] {
+                                match gate.acquire(
+                                    rec,
+                                    &mut log,
+                                    rec.now_ticks(),
+                                    txn,
+                                    obj,
+                                    LockMode::Write,
+                                    deadline,
+                                    &mut blocked,
+                                ) {
+                                    Acquire::Granted => {}
+                                    // The gate already released what we held.
+                                    Acquire::Deadlock => continue 'txn,
+                                    Acquire::Timeout => panic!("timeout under 60 s deadline"),
                                 }
-                                Acquire::Timeout => panic!("timeout under 60 s deadline"),
                             }
+                            gate.finish(rec, &mut log, txn, true);
+                            break 'txn;
                         }
-                        table.release_all(rec, &mut log, txn, &held);
-                        break 'txn;
                     }
-                    table.deregister(txn);
-                }
-            });
-        }
-    });
+                });
+            }
+        });
 
-    assert!(table.idle(), "table not idle after drain");
-    // With opposed lock orders and 50 rounds each, at least one cycle is
-    // all but certain — but the assertion that matters is completion and
-    // idleness above; the count is informational.
-    let _ = table.deadlocks();
+        gate.assert_idle();
+        // With opposed lock orders and 50 rounds each, at least one cycle
+        // is all but certain — but the assertion that matters is
+        // completion and idleness above; the count is informational.
+        let _ = gate.deadlocks();
+    }
+}
+
+#[test]
+fn timed_out_waiter_picked_as_victim_is_released_once_and_missed_once() {
+    // `low` holds A and times out queued for B, which `high` holds.
+    // Before `low` reaches finish, `high` asks for A and closes the
+    // cycle; `low`, the lower priority, is the victim. The gate must
+    // release A once (handing it to `high`), and `low`'s own finish must
+    // release nothing again and end in exactly one deadline miss.
+    let (a, b) = (ObjectId(0), ObjectId(1));
+    let (low, high) = (TxnId(1), TxnId(2));
+    for protocol in TWO_PHASE_FAMILY {
+        let gate = LiveGate::new(protocol);
+        let rec = Recorder::new();
+        let mut log = ThreadLog::new();
+        let far = Instant::now() + Duration::from_secs(60);
+        let acquire = |log: &mut ThreadLog, txn, object, deadline| {
+            let mut blocked = 0u64;
+            let at = rec.now_ticks();
+            gate.acquire(
+                &rec,
+                log,
+                at,
+                txn,
+                object,
+                LockMode::Write,
+                deadline,
+                &mut blocked,
+            )
+        };
+        gate.register(
+            &rec,
+            &mut log,
+            rec.now_ticks(),
+            &spec(low, &[], &[a, b], 2_000),
+        );
+        gate.register(
+            &rec,
+            &mut log,
+            rec.now_ticks(),
+            &spec(high, &[], &[b, a], 1_000),
+        );
+        assert_eq!(acquire(&mut log, low, a, far), Acquire::Granted);
+        assert_eq!(acquire(&mut log, high, b, far), Acquire::Granted);
+        let soon = Instant::now() + Duration::from_millis(2);
+        assert_eq!(acquire(&mut log, low, b, soon), Acquire::Timeout);
+        assert_eq!(acquire(&mut log, high, a, far), Acquire::Granted);
+        gate.finish(&rec, &mut log, low, false);
+        gate.finish(&rec, &mut log, high, true);
+        gate.assert_idle();
+        assert_eq!(gate.deadlocks(), 1, "{}", protocol.name());
+
+        let events = Recorder::merge(vec![log]);
+        assert_events_clean(protocol.name(), &events, false);
+        let mut releases: HashMap<(TxnId, ObjectId), u32> = HashMap::new();
+        let (mut victims, mut misses) = (Vec::new(), 0);
+        for (_, event) in &events {
+            match event.kind {
+                SimEventKind::LockReleased { txn, object } => {
+                    *releases.entry((txn, object)).or_default() += 1;
+                }
+                SimEventKind::DeadlockDetected { victim } => victims.push(victim),
+                SimEventKind::TxnAborted {
+                    reason: AbortReason::DeadlineMissed,
+                    ..
+                } => misses += 1,
+                _ => {}
+            }
+        }
+        let expected = HashMap::from([((low, a), 1), ((high, a), 1), ((high, b), 1)]);
+        assert_eq!(releases, expected, "{}", protocol.name());
+        assert_eq!(victims, vec![low], "{}", protocol.name());
+        assert_eq!(misses, 1, "{}", protocol.name());
+    }
 }
 
 #[test]

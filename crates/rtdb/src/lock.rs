@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use starlite::{FxHashMap, FxHashSet, Priority};
+use starlite::{FxHashMap, Priority};
 
 use crate::ids::{ObjectId, TxnId};
 use crate::small::InlineVec;
@@ -201,14 +201,15 @@ impl ObjectLock {
 pub struct LockTable {
     policy: QueuePolicy,
     locks: FxHashMap<ObjectId, ObjectLock>,
-    held_by: FxHashMap<TxnId, FxHashSet<ObjectId>>,
+    /// Objects each transaction holds, in grant order.
+    held_by: FxHashMap<TxnId, Vec<ObjectId>>,
     waiting_on: FxHashMap<TxnId, ObjectId>,
     next_seq: u64,
     grants: u64,
     waits: u64,
     upgrades: u64,
-    /// Reused by [`LockTable::release_all`] for the affected-object list, so
-    /// the per-commit release path stops allocating once warm.
+    /// An empty held list kept from the last [`LockTable::release_all`], so
+    /// the next transaction's first grant reuses its allocation.
     scratch_objs: Vec<ObjectId>,
     trace: bool,
     journal: Vec<LockEvent>,
@@ -250,10 +251,11 @@ impl LockTable {
         self.trace = on;
     }
 
-    /// Moves all journalled entries into `out` (appending), oldest first.
-    /// A no-op when tracing is off.
-    pub fn drain_journal(&mut self, out: &mut Vec<LockEvent>) {
-        out.append(&mut self.journal);
+    /// Drains the journalled entries, oldest first, so callers can
+    /// convert them straight into their own event type. Empty when
+    /// tracing is off.
+    pub fn drain_journal(&mut self) -> impl Iterator<Item = LockEvent> + '_ {
+        self.journal.drain(..)
     }
 
     /// Requests `mode` on `object` for `txn` at `priority`.
@@ -356,7 +358,10 @@ impl LockTable {
         };
         if can_bypass_queue && !state.has_holder_conflict(txn, mode) {
             state.holders.push((txn, mode));
-            self.held_by.entry(txn).or_default().insert(object);
+            self.held_by
+                .entry(txn)
+                .or_insert_with(|| std::mem::take(&mut self.scratch_objs))
+                .push(object);
             self.grants += 1;
             if self.trace {
                 self.journal.push(LockEvent::Granted { txn, object, mode });
@@ -409,39 +414,40 @@ impl LockTable {
     /// grantable read-to-write upgrade is always served first. Returns the
     /// requests granted by this release.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<GrantedLock> {
-        let mut affected = std::mem::take(&mut self.scratch_objs);
-        affected.clear();
-        if let Some(objs) = self.held_by.remove(&txn) {
-            for obj in objs {
-                if let Some(state) = self.locks.get_mut(&obj) {
-                    state.holders.retain(|(t, _)| *t != txn);
-                }
-                affected.push(obj);
+        // The held list itself becomes the affected-object list; its
+        // allocation is recycled for the next transaction's first grant.
+        let mut affected = self
+            .held_by
+            .remove(&txn)
+            .unwrap_or_else(|| std::mem::take(&mut self.scratch_objs));
+        for &obj in &affected {
+            if let Some(state) = self.locks.get_mut(&obj) {
+                state.holders.retain(|(t, _)| *t != txn);
             }
         }
+        // Id order, so grant order cannot leak into the trace.
+        affected.sort_unstable();
         if self.trace {
-            // `affected` holds exactly the released objects here (the
-            // awaited one is appended below); journal them in id order so
-            // the hash-map iteration above cannot leak into the trace.
-            let mut released = affected.clone();
-            released.sort_unstable();
-            for object in released {
-                self.journal.push(LockEvent::Released { txn, object });
-            }
+            self.journal.extend(
+                affected
+                    .iter()
+                    .map(|&object| LockEvent::Released { txn, object }),
+            );
         }
         if let Some(obj) = self.waiting_on.remove(&txn) {
             if let Some(state) = self.locks.get_mut(&obj) {
                 state.queue.retain(|w| w.txn != txn);
             }
-            affected.push(obj);
+            if let Err(at) = affected.binary_search(&obj) {
+                affected.insert(at, obj);
+            }
         }
-        affected.sort_unstable();
-        affected.dedup();
 
         let mut granted = Vec::new();
         for &obj in &affected {
             self.grant_pass(obj, &mut granted);
         }
+        affected.clear();
         self.scratch_objs = affected;
         granted
     }
@@ -532,14 +538,9 @@ impl LockTable {
 
     /// All objects currently locked by `txn`.
     pub fn held_objects(&self, txn: TxnId) -> Vec<ObjectId> {
-        self.held_by
-            .get(&txn)
-            .map(|s| {
-                let mut v: Vec<ObjectId> = s.iter().copied().collect();
-                v.sort_unstable();
-                v
-            })
-            .unwrap_or_default()
+        let mut v = self.held_by.get(&txn).cloned().unwrap_or_default();
+        v.sort_unstable();
+        v
     }
 
     /// Current holders of `object` with their modes, as a borrowed view
@@ -608,6 +609,26 @@ impl LockTable {
         }
     }
 
+    /// Panics unless the table is empty: no holder, no waiter — the state
+    /// every drained run must leave behind.
+    pub fn assert_idle(&self) {
+        assert!(
+            self.held_by.is_empty(),
+            "{} transactions still hold locks",
+            self.held_by.len()
+        );
+        assert!(
+            self.waiting_on.is_empty(),
+            "{} requests still waiting",
+            self.waiting_on.len()
+        );
+        assert!(
+            self.locks.is_empty(),
+            "{} objects still have lock state",
+            self.locks.len()
+        );
+    }
+
     /// Wakes as many waiters of `object` as compatibility allows, in
     /// discipline order, except that an *eligible* upgrade waiter is always
     /// served first regardless of discipline: the upgrader already holds a
@@ -668,7 +689,10 @@ impl LockTable {
                 self.upgrades += 1;
             } else {
                 state.holders.push((w.txn, w.mode));
-                self.held_by.entry(w.txn).or_default().insert(object);
+                self.held_by
+                    .entry(w.txn)
+                    .or_insert_with(|| std::mem::take(&mut self.scratch_objs))
+                    .push(object);
             }
             self.waiting_on.remove(&w.txn);
             self.grants += 1;
@@ -1021,8 +1045,7 @@ mod tests {
         lt.request(TxnId(1), o, LockMode::Write, p(0));
         lt.request(TxnId(2), o, LockMode::Read, p(0));
         lt.release_all(TxnId(1));
-        let mut journal = Vec::new();
-        lt.drain_journal(&mut journal);
+        let journal: Vec<LockEvent> = lt.drain_journal().collect();
         assert_eq!(
             journal,
             vec![
@@ -1058,9 +1081,7 @@ mod tests {
                 },
             ]
         );
-        let mut again = Vec::new();
-        lt.drain_journal(&mut again);
-        assert!(again.is_empty());
+        assert_eq!(lt.drain_journal().count(), 0);
     }
 
     #[test]
@@ -1070,8 +1091,7 @@ mod tests {
         let o = ObjectId(3);
         lt.request(TxnId(1), o, LockMode::Read, p(0));
         lt.request(TxnId(1), o, LockMode::Write, p(0));
-        let mut journal = Vec::new();
-        lt.drain_journal(&mut journal);
+        let journal: Vec<LockEvent> = lt.drain_journal().collect();
         assert_eq!(
             journal[3],
             LockEvent::Upgraded {
@@ -1086,8 +1106,7 @@ mod tests {
         let mut lt = LockTable::new(QueuePolicy::Fifo);
         lt.request(TxnId(1), ObjectId(1), LockMode::Write, p(0));
         lt.release_all(TxnId(1));
-        let mut journal = Vec::new();
-        lt.drain_journal(&mut journal);
+        let journal: Vec<LockEvent> = lt.drain_journal().collect();
         assert!(journal.is_empty());
     }
 
