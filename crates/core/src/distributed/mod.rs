@@ -21,6 +21,11 @@
 //! The paper's Figures 4–6 compare these two architectures across the
 //! transaction mix (fraction of read-only transactions) and the
 //! communication delay.
+//!
+//! Every site runs on the single-site simulator's site engine; this
+//! module adds the message server: messaging, lock-RPC retry, two-phase
+//! commit, routing to the global ceiling manager (site 0's protocol
+//! instance), replica propagation and repair, and faults.
 
 mod sim;
 

@@ -28,9 +28,15 @@ pub struct TemporalStats {
     pub mean_replica_lag_ticks: f64,
     /// Worst observed replication lag, in ticks.
     pub max_replica_lag_ticks: u64,
-    /// Read-only transactions that committed (any reader mode).
+    /// Read-only transactions of a reader class that committed. The
+    /// single-site simulator counts every read-only transaction of an
+    /// mvcc run, whatever its [`ReaderMode`](crate::ReaderMode); the
+    /// distributed simulator counts snapshot readers only, so with
+    /// locking readers it reports 0.
     pub reader_committed: u64,
-    /// Read-only transactions that missed their deadline.
+    /// Read-only transactions of a reader class that missed their
+    /// deadline, counted by the same rule (a distributed reader aborted
+    /// by a site crash is faulted, not missed).
     pub reader_missed: u64,
     /// Version-chain prefixes evicted by watermark GC.
     pub versions_gced: u64,

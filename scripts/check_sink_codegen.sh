@@ -12,7 +12,9 @@
 #   1. The `rtlock` library IR (which contains the NullSink
 #      monomorphisations of both simulators, instantiated by the
 #      non-generic `run_transactions*` wrappers) must contain ZERO
-#      references to the sink-layer drain helpers. The only journal
+#      references to the sink-layer drain helpers: the site engine's
+#      protocol and CPU journal drains and the distributed driver's
+#      network journal drain. The only journal
 #      symbols allowed are the lock-table drains inside the `dyn
 #      LockProtocol` implementations, which are runtime-gated on the
 #      protocol's tracing flag and cannot be monomorphised away.
@@ -24,7 +26,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SINK_HELPERS='flush_cpu_journal|flush_kernel_journals|drain_pcp|drain_protocol'
+SINK_HELPERS='drain_protocol|flush_cpu_journals|flush_net_journal'
 
 echo "sink-codegen: emitting LLVM IR for the rtlock library (NullSink instantiations)"
 rm -f target/release/deps/rtlock-*.ll
