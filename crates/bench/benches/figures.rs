@@ -6,13 +6,21 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use monitor::MetricsSink;
 use rtlock::distributed::CeilingArchitecture;
 use rtlock::ProtocolKind;
-use rtlock_bench::distributed::measure_dist_point;
-use rtlock_bench::harness::{execute, execute_with, RunSpec, SimSpec, SingleSiteSpec};
-use rtlock_bench::single_site::measure_size_point;
+use rtlock_bench::harness::{
+    execute, execute_with, DistributedSpec, PointResult, RunSpec, SimSpec, SingleSiteSpec, Sweep,
+};
 use starlite::NullSink;
 
 const TXNS: u32 = 80;
 const SEEDS: u64 = 2;
+
+/// One figure point: `SEEDS` replicates of `sim` as a one-point sweep on
+/// one worker.
+fn point(sim: SimSpec) -> PointResult {
+    let mut sweep = Sweep::new();
+    sweep.point("point", SEEDS, sim);
+    sweep.run(1).points.remove(0)
+}
 
 fn bench_fig2_fig3(c: &mut Criterion) {
     let mut group = c.benchmark_group("figures/single_site");
@@ -23,7 +31,8 @@ fn bench_fig2_fig3(c: &mut Criterion) {
         ProtocolKind::TwoPhaseLocking,
     ] {
         group.bench_function(format!("size14_{}", kind.label()), |b| {
-            b.iter(|| measure_size_point(kind, 14, TXNS, SEEDS));
+            let sim = SimSpec::SingleSite(SingleSiteSpec::figure(kind, 14, TXNS));
+            b.iter(|| point(sim.clone()));
         });
     }
     group.finish();
@@ -37,7 +46,8 @@ fn bench_fig4_fig5_fig6(c: &mut Criterion) {
         CeilingArchitecture::GlobalManager,
     ] {
         group.bench_function(format!("mix50_delay2_{}", arch.label()), |b| {
-            b.iter(|| measure_dist_point(arch, 0.5, 2, TXNS, SEEDS));
+            let sim = SimSpec::Distributed(DistributedSpec::figure(arch, 0.5, 2, TXNS));
+            b.iter(|| point(sim.clone()));
         });
     }
     group.finish();

@@ -1,24 +1,8 @@
 //! Ablation studies for the design choices the paper raises.
 
-use monitor::Summary;
 use rtlock::{ProtocolKind, VictimPolicy};
 
-use crate::harness::{self, RunSpec, SimSpec, SingleSiteSpec, Sweep};
-
-/// A measured protocol-vs-metric row for an ablation table.
-#[derive(Debug, Clone)]
-pub struct AblationRow {
-    /// Human-readable configuration label.
-    pub label: String,
-    /// Mean transaction size.
-    pub size: u32,
-    /// Normalised throughput.
-    pub throughput: Summary,
-    /// Percentage of deadline-missing transactions.
-    pub pct_missed: Summary,
-    /// Deadlocks per run.
-    pub deadlocks: Summary,
-}
+use crate::harness::{SimSpec, SingleSiteSpec, Sweep};
 
 /// One ablation configuration.
 #[derive(Debug, Clone, Copy)]
@@ -45,7 +29,9 @@ impl AblationCase {
         }
     }
 
-    /// The harness spec this case runs at one mean `size`.
+    /// The harness spec this case runs at one mean `size`. Sizes are drawn
+    /// uniformly from `[size/2, size + size/2]` so that deadline order
+    /// differs from arrival order (otherwise victim policies coincide).
     pub fn spec(&self, size: u32, txn_count: u32) -> SingleSiteSpec {
         SingleSiteSpec {
             read_only_fraction: self.read_only_fraction,
@@ -53,38 +39,6 @@ impl AblationCase {
             restart_victims: self.restart_victims,
             ..SingleSiteSpec::ablation(self.protocol, size, txn_count)
         }
-    }
-}
-
-/// Runs one case at one mean size. Sizes are drawn uniformly from
-/// `[size/2, size + size/2]` so that deadline order differs from arrival
-/// order (otherwise victim policies coincide).
-pub fn measure(
-    label: &str,
-    case: AblationCase,
-    size: u32,
-    txn_count: u32,
-    seeds: u64,
-) -> AblationRow {
-    let mut throughput = Vec::new();
-    let mut pct_missed = Vec::new();
-    let mut deadlocks = Vec::new();
-    for seed in 0..seeds {
-        let m = harness::execute(&RunSpec {
-            label: String::new(),
-            seed,
-            sim: SimSpec::SingleSite(case.spec(size, txn_count)),
-        });
-        throughput.push(m.throughput);
-        pct_missed.push(m.pct_missed);
-        deadlocks.push(m.deadlocks as f64);
-    }
-    AblationRow {
-        label: label.to_string(),
-        size,
-        throughput: Summary::of(&throughput),
-        pct_missed: Summary::of(&pct_missed),
-        deadlocks: Summary::of(&deadlocks),
     }
 }
 
@@ -110,17 +64,6 @@ pub fn declare_case(
     );
 }
 
-/// Builds an [`AblationRow`] from a harness point result.
-pub fn row_from(point: &crate::harness::PointResult, label: &str, size: u32) -> AblationRow {
-    AblationRow {
-        label: label.to_string(),
-        size,
-        throughput: point.throughput(),
-        pct_missed: point.pct_missed(),
-        deadlocks: point.deadlocks(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,16 +77,13 @@ mod tests {
     }
 
     #[test]
-    fn measure_produces_summaries() {
-        let row = measure(
-            "smoke",
-            AblationCase::canonical(ProtocolKind::PriorityCeiling),
-            6,
-            60,
-            2,
-        );
-        assert_eq!(row.label, "smoke");
-        assert_eq!(row.throughput.n, 2);
-        assert_eq!(row.deadlocks.mean, 0.0);
+    fn declared_case_produces_summaries() {
+        let mut sweep = Sweep::new();
+        let case = AblationCase::canonical(ProtocolKind::PriorityCeiling);
+        declare_case(&mut sweep, "smoke", case, 6, 60, 2);
+        let swept = sweep.run(2);
+        let point = swept.point(&case_label("smoke", 6));
+        assert_eq!(point.throughput().n, 2);
+        assert_eq!(point.deadlocks().mean, 0.0);
     }
 }

@@ -8,75 +8,59 @@
 
 use monitor::csv::Table;
 use rtlock::ProtocolKind;
-use rtlock_bench::ablation::{case_label, declare_case, row_from, AblationCase};
-use rtlock_bench::harness::Sweep;
+use rtlock_bench::ablation::{case_label, declare_case, AblationCase};
+use rtlock_bench::experiment::{print_table, Experiment, Fields};
+use rtlock_bench::harness::{Sweep, SweepResults};
 use rtlock_bench::params;
-use rtlock_bench::results::{self, Json};
+use rtlock_bench::results::Json;
+
+const SIZES: [u32; 5] = [4, 8, 12, 16, 20];
+const CONFIGS: [(&str, ProtocolKind); 4] = [
+    ("C", ProtocolKind::PriorityCeiling),
+    ("I", ProtocolKind::PriorityInheritance),
+    ("P", ProtocolKind::TwoPhaseLockingPriority),
+    ("L", ProtocolKind::TwoPhaseLocking),
+];
 
 fn main() {
-    let sizes = [4u32, 8, 12, 16, 20];
-    let configs = [
-        ("C", ProtocolKind::PriorityCeiling),
-        ("I", ProtocolKind::PriorityInheritance),
-        ("P", ProtocolKind::TwoPhaseLockingPriority),
-        ("L", ProtocolKind::TwoPhaseLocking),
-    ];
     let mut sweep = Sweep::new();
-    for &size in &sizes {
-        for (label, kind) in &configs {
-            declare_case(
-                &mut sweep,
-                label,
-                AblationCase::canonical(*kind),
-                size,
-                params::TXNS_PER_RUN,
-                params::SEEDS,
-            );
+    for size in SIZES {
+        for (label, kind) in CONFIGS {
+            let (txns, seeds) = (params::TXNS_PER_RUN, params::SEEDS);
+            let case = AblationCase::canonical(kind);
+            declare_case(&mut sweep, label, case, size, txns, seeds);
         }
     }
-    let swept = rtlock_bench::check::run_sweep(&sweep);
-    rtlock_bench::trace::maybe_trace(&sweep);
-    rtlock_bench::observe::maybe_observe("ablation_inheritance", &sweep);
+    Experiment {
+        name: "ablation_inheritance",
+        title: "Ablation A2: protocol ladder (C/I/P/L)",
+        parameters: vec![
+            ("txns_per_run", params::TXNS_PER_RUN.into()),
+            ("seeds", params::SEEDS.into()),
+            ("sizes", Json::array(SIZES)),
+            ("protocols", Json::array(CONFIGS.map(|(l, _)| l))),
+        ],
+        sweep,
+        smoke: None,
+        bench_record: false,
+        report,
+    }
+    .run();
+}
 
+fn report(swept: &SweepResults, _smoke: bool) -> Fields {
     let mut columns = vec!["size".to_string()];
-    for (label, _) in &configs {
-        columns.push(format!("{label}_pct_missed"));
-    }
-    for (label, _) in &configs {
-        columns.push(format!("{label}_deadlocks"));
-    }
+    columns.extend(CONFIGS.map(|(label, _)| format!("{label}_pct_missed")));
+    columns.extend(CONFIGS.map(|(label, _)| format!("{label}_deadlocks")));
     let mut table = Table::new(columns);
-    for &size in &sizes {
-        let mut misses = Vec::new();
-        let mut deadlocks = Vec::new();
-        for (label, _) in &configs {
-            let r = row_from(swept.point(&case_label(label, size)), label, size);
-            misses.push(r.pct_missed.mean);
-            deadlocks.push(r.deadlocks.mean);
-        }
+    for size in SIZES {
+        let points = CONFIGS.map(|(label, _)| swept.point(&case_label(label, size)));
         let mut row = vec![size as f64];
-        row.extend(misses);
-        row.extend(deadlocks);
+        row.extend(points.map(|p| p.pct_missed().mean));
+        row.extend(points.map(|p| p.deadlocks().mean));
         table.push_row(row);
     }
     println!("Ablation A2: %missed and deadlocks across the protocol ladder");
-    print!("{}", table.to_pretty());
-    println!("\nCSV:\n{}", table.to_csv());
-    results::emit(
-        "ablation_inheritance",
-        &swept,
-        "Ablation A2: protocol ladder (C/I/P/L)",
-        vec![
-            ("txns_per_run", params::TXNS_PER_RUN.into()),
-            ("seeds", params::SEEDS.into()),
-            (
-                "sizes",
-                Json::Array(sizes.iter().map(|&s| s.into()).collect()),
-            ),
-            (
-                "protocols",
-                Json::Array(configs.iter().map(|(l, _)| (*l).into()).collect()),
-            ),
-        ],
-    );
+    print_table(&table, None);
+    Fields::new()
 }

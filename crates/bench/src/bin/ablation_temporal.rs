@@ -7,55 +7,60 @@
 
 use monitor::csv::Table;
 use rtlock::distributed::CeilingArchitecture;
-use rtlock_bench::harness::{DistributedSpec, SimSpec, Sweep};
+use rtlock_bench::experiment::{print_table, Experiment, Fields};
+use rtlock_bench::harness::{DistributedSpec, SimSpec, Sweep, SweepResults};
 use rtlock_bench::params;
-use rtlock_bench::results::{self, Json};
+use rtlock_bench::results::Json;
+
+const DELAYS: [u32; 4] = [0, 2, 4, 8];
+const RETENTIONS: [usize; 3] = [2, 8, 32];
 
 fn label(delay: u32, keep: usize) -> String {
     format!("local/delay={delay}/keep={keep}")
 }
 
 fn main() {
-    let delays = [0u32, 2, 4, 8];
-    let retentions = [2usize, 8, 32];
-
     let mut sweep = Sweep::new();
-    for &d in &delays {
-        for &keep in &retentions {
-            sweep.point(
-                label(d, keep),
-                params::SEEDS,
-                SimSpec::Distributed(DistributedSpec {
-                    temporal_versions: Some(keep),
-                    ..DistributedSpec::figure(
-                        CeilingArchitecture::LocalReplicated,
-                        0.5,
-                        d,
-                        params::DIST_TXNS_PER_RUN,
-                    )
-                }),
-            );
+    for d in DELAYS {
+        for keep in RETENTIONS {
+            let arch = CeilingArchitecture::LocalReplicated;
+            let spec = DistributedSpec {
+                temporal_versions: Some(keep),
+                ..DistributedSpec::figure(arch, 0.5, d, params::DIST_TXNS_PER_RUN)
+            };
+            sweep.point(label(d, keep), params::SEEDS, SimSpec::Distributed(spec));
         }
     }
-    let swept = rtlock_bench::check::run_sweep(&sweep);
-    rtlock_bench::trace::maybe_trace(&sweep);
-    rtlock_bench::observe::maybe_observe("ablation_temporal", &sweep);
+    Experiment {
+        name: "ablation_temporal",
+        title: "Extension E3: replica staleness and snapshot constructibility",
+        parameters: vec![
+            ("txns_per_run", params::DIST_TXNS_PER_RUN.into()),
+            ("seeds", params::SEEDS.into()),
+            ("read_only_fraction", 0.5.into()),
+            ("delay_units", Json::array(DELAYS)),
+            ("retentions", Json::array(RETENTIONS)),
+        ],
+        sweep,
+        smoke: None,
+        bench_record: false,
+        report,
+    }
+    .run();
+}
 
+fn report(swept: &SweepResults, _smoke: bool) -> Fields {
     let mut columns = vec![
         "delay_units".to_string(),
         "mean_replica_lag".into(),
         "max_replica_lag".into(),
     ];
-    for k in retentions {
-        columns.push(format!("unconstructible_k{k}"));
-    }
+    columns.extend(RETENTIONS.map(|k| format!("unconstructible_k{k}")));
     let mut table = Table::new(columns);
-
-    for &d in &delays {
+    for d in DELAYS {
         let mut row = vec![d as f64];
-        let mut lag_filled = false;
         let mut unconstructible = Vec::new();
-        for &keep in &retentions {
+        for (i, keep) in RETENTIONS.into_iter().enumerate() {
             let point = swept.point(&label(d, keep));
             let mut mean_lag = 0.0;
             let mut max_lag = 0u64;
@@ -66,12 +71,10 @@ fn main() {
                 max_lag = max_lag.max(t.max_replica_lag_ticks);
                 uncon += 100.0 * t.unconstructible as f64 / t.snapshot_reads.max(1) as f64;
             }
-            if !lag_filled {
-                // Lag is retention-independent; report it once (deepest
-                // retention gives the most complete picture).
+            if i == 0 {
+                // Lag is retention-independent; report it once.
                 row.push(mean_lag / params::SEEDS as f64);
                 row.push(max_lag as f64);
-                lag_filled = true;
             }
             unconstructible.push(uncon / params::SEEDS as f64);
         }
@@ -82,24 +85,6 @@ fn main() {
     println!(
         "(local ceiling architecture, 50% read-only mix; lag in ticks, unconstructible in %)\n"
     );
-    print!("{}", table.to_pretty());
-    println!("\nCSV:\n{}", table.to_csv());
-    results::emit(
-        "ablation_temporal",
-        &swept,
-        "Extension E3: replica staleness and snapshot constructibility",
-        vec![
-            ("txns_per_run", params::DIST_TXNS_PER_RUN.into()),
-            ("seeds", params::SEEDS.into()),
-            ("read_only_fraction", 0.5.into()),
-            (
-                "delay_units",
-                Json::Array(delays.iter().map(|&d| d.into()).collect()),
-            ),
-            (
-                "retentions",
-                Json::Array(retentions.iter().map(|&k| k.into()).collect()),
-            ),
-        ],
-    );
+    print_table(&table, None);
+    Fields::new()
 }

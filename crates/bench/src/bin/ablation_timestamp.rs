@@ -8,78 +8,64 @@
 
 use monitor::csv::Table;
 use rtlock::ProtocolKind;
-use rtlock_bench::ablation::{case_label, declare_case, row_from, AblationCase};
-use rtlock_bench::harness::Sweep;
+use rtlock_bench::ablation::{case_label, declare_case, AblationCase};
+use rtlock_bench::experiment::{print_table, Experiment, Fields};
+use rtlock_bench::harness::{Sweep, SweepResults};
 use rtlock_bench::params;
-use rtlock_bench::results::{self, Json};
+use rtlock_bench::results::Json;
+
+const SIZES: [u32; 5] = [4, 8, 12, 16, 20];
+const CONFIGS: [(&str, ProtocolKind); 3] = [
+    ("C", ProtocolKind::PriorityCeiling),
+    ("P", ProtocolKind::TwoPhaseLockingPriority),
+    ("T", ProtocolKind::TimestampOrdering),
+];
 
 fn main() {
-    let sizes = [4u32, 8, 12, 16, 20];
-    let configs = [
-        ("C", ProtocolKind::PriorityCeiling),
-        ("P", ProtocolKind::TwoPhaseLockingPriority),
-        ("T", ProtocolKind::TimestampOrdering),
-    ];
     let mut sweep = Sweep::new();
-    for &size in &sizes {
-        for (label, kind) in &configs {
+    for size in SIZES {
+        for (label, kind) in CONFIGS {
             // T/O victims must restart (a rejection is not a deadline
             // miss); locking runs the canonical no-restart policy.
             let case = AblationCase {
-                restart_victims: *kind == ProtocolKind::TimestampOrdering,
-                ..AblationCase::canonical(*kind)
+                restart_victims: kind == ProtocolKind::TimestampOrdering,
+                ..AblationCase::canonical(kind)
             };
-            declare_case(
-                &mut sweep,
-                label,
-                case,
-                size,
-                params::TXNS_PER_RUN,
-                params::SEEDS,
-            );
+            let (txns, seeds) = (params::TXNS_PER_RUN, params::SEEDS);
+            declare_case(&mut sweep, label, case, size, txns, seeds);
         }
     }
-    let swept = rtlock_bench::check::run_sweep(&sweep);
-    rtlock_bench::trace::maybe_trace(&sweep);
-    rtlock_bench::observe::maybe_observe("ablation_timestamp", &sweep);
-
-    let mut columns = vec!["size".to_string()];
-    for (label, _) in &configs {
-        columns.push(format!("{label}_pct_missed"));
+    Experiment {
+        name: "ablation_timestamp",
+        title: "Extension E1: timestamp ordering vs locking",
+        parameters: vec![
+            ("txns_per_run", params::TXNS_PER_RUN.into()),
+            ("seeds", params::SEEDS.into()),
+            ("sizes", Json::array(SIZES)),
+            ("protocols", Json::array(CONFIGS.map(|(l, _)| l))),
+        ],
+        sweep,
+        smoke: None,
+        bench_record: false,
+        report,
     }
+    .run();
+}
+
+fn report(swept: &SweepResults, _smoke: bool) -> Fields {
+    let mut columns = vec!["size".to_string()];
+    columns.extend(CONFIGS.map(|(label, _)| format!("{label}_pct_missed")));
     columns.push("T_rejections".into());
     let mut table = Table::new(columns);
-    for &size in &sizes {
+    for size in SIZES {
+        let points = CONFIGS.map(|(label, _)| swept.point(&case_label(label, size)));
         let mut row = vec![size as f64];
-        let mut rejections = 0.0;
-        for (label, kind) in &configs {
-            let r = row_from(swept.point(&case_label(label, size)), label, size);
-            row.push(r.pct_missed.mean);
-            if *kind == ProtocolKind::TimestampOrdering {
-                rejections = r.deadlocks.mean;
-            }
-        }
-        row.push(rejections);
+        row.extend(points.map(|p| p.pct_missed().mean));
+        // T/O reports its rejections as deadlocks.
+        row.push(points[2].deadlocks().mean);
         table.push_row(row);
     }
     println!("Extension E1: timestamp ordering vs locking (all-update mix)");
-    print!("{}", table.to_pretty());
-    println!("\nCSV:\n{}", table.to_csv());
-    results::emit(
-        "ablation_timestamp",
-        &swept,
-        "Extension E1: timestamp ordering vs locking",
-        vec![
-            ("txns_per_run", params::TXNS_PER_RUN.into()),
-            ("seeds", params::SEEDS.into()),
-            (
-                "sizes",
-                Json::Array(sizes.iter().map(|&s| s.into()).collect()),
-            ),
-            (
-                "protocols",
-                Json::Array(configs.iter().map(|(l, _)| (*l).into()).collect()),
-            ),
-        ],
-    );
+    print_table(&table, None);
+    Fields::new()
 }

@@ -8,73 +8,63 @@
 
 use monitor::csv::Table;
 use rtlock::{ProtocolKind, VictimPolicy};
-use rtlock_bench::ablation::{case_label, declare_case, row_from, AblationCase};
-use rtlock_bench::harness::Sweep;
+use rtlock_bench::ablation::{case_label, declare_case, AblationCase};
+use rtlock_bench::experiment::{print_table, Experiment, Fields};
+use rtlock_bench::harness::{Sweep, SweepResults};
 use rtlock_bench::params;
-use rtlock_bench::results::{self, Json};
+use rtlock_bench::results::Json;
+
+const SIZES: [u32; 4] = [8, 12, 16, 20];
+const CASES: [(&str, VictimPolicy, bool); 4] = [
+    ("lowest_abort", VictimPolicy::LowestPriority, false),
+    ("youngest_abort", VictimPolicy::Youngest, false),
+    ("lowest_restart", VictimPolicy::LowestPriority, true),
+    ("youngest_restart", VictimPolicy::Youngest, true),
+];
 
 fn main() {
-    let sizes = [8u32, 12, 16, 20];
-    let cases = [
-        ("lowest_abort", VictimPolicy::LowestPriority, false),
-        ("youngest_abort", VictimPolicy::Youngest, false),
-        ("lowest_restart", VictimPolicy::LowestPriority, true),
-        ("youngest_restart", VictimPolicy::Youngest, true),
-    ];
     let mut sweep = Sweep::new();
-    for &size in &sizes {
-        for (label, policy, restart) in &cases {
+    for size in SIZES {
+        for (label, victim_policy, restart_victims) in CASES {
             let case = AblationCase {
                 protocol: ProtocolKind::TwoPhaseLockingPriority,
-                victim_policy: *policy,
-                restart_victims: *restart,
+                victim_policy,
+                restart_victims,
                 read_only_fraction: 0.0,
             };
-            declare_case(
-                &mut sweep,
-                label,
-                case,
-                size,
-                params::TXNS_PER_RUN,
-                params::SEEDS,
-            );
+            let (txns, seeds) = (params::TXNS_PER_RUN, params::SEEDS);
+            declare_case(&mut sweep, label, case, size, txns, seeds);
         }
     }
-    let swept = rtlock_bench::check::run_sweep(&sweep);
-    rtlock_bench::trace::maybe_trace(&sweep);
-    rtlock_bench::observe::maybe_observe("ablation_victim", &sweep);
+    Experiment {
+        name: "ablation_victim",
+        title: "Ablation A3: deadlock victim policy and restart economics",
+        parameters: vec![
+            ("txns_per_run", params::TXNS_PER_RUN.into()),
+            ("seeds", params::SEEDS.into()),
+            ("sizes", Json::array(SIZES)),
+            ("cases", Json::array(CASES.map(|(l, _, _)| l))),
+        ],
+        sweep,
+        smoke: None,
+        bench_record: false,
+        report,
+    }
+    .run();
+}
 
+fn report(swept: &SweepResults, _smoke: bool) -> Fields {
     let mut columns = vec!["size".to_string()];
-    for (label, _, _) in &cases {
-        columns.push(format!("{label}_pct_missed"));
-    }
+    columns.extend(CASES.map(|(label, _, _)| format!("{label}_pct_missed")));
     let mut table = Table::new(columns);
-    for &size in &sizes {
+    for size in SIZES {
         let mut row = vec![size as f64];
-        for (label, _, _) in &cases {
-            let r = row_from(swept.point(&case_label(label, size)), label, size);
-            row.push(r.pct_missed.mean);
-        }
+        row.extend(
+            CASES.map(|(label, _, _)| swept.point(&case_label(label, size)).pct_missed().mean),
+        );
         table.push_row(row);
     }
     println!("Ablation A3: deadlock victim policy and restart economics (protocol P)");
-    print!("{}", table.to_pretty());
-    println!("\nCSV:\n{}", table.to_csv());
-    results::emit(
-        "ablation_victim",
-        &swept,
-        "Ablation A3: deadlock victim policy and restart economics",
-        vec![
-            ("txns_per_run", params::TXNS_PER_RUN.into()),
-            ("seeds", params::SEEDS.into()),
-            (
-                "sizes",
-                Json::Array(sizes.iter().map(|&s| s.into()).collect()),
-            ),
-            (
-                "cases",
-                Json::Array(cases.iter().map(|(l, _, _)| (*l).into()).collect()),
-            ),
-        ],
-    );
+    print_table(&table, None);
+    Fields::new()
 }

@@ -3,51 +3,57 @@
 //! whole reproduction (the full-scale binaries are `fig2` … `fig6`).
 //!
 //! The whole pass runs as one sweep on the parallel harness; its
-//! wall-clock time is appended to `results/BENCH_SWEEP.json`.
+//! wall-clock time is recorded in `BENCH_SWEEP.json`.
 
 use rtlock::distributed::CeilingArchitecture;
 use rtlock::ProtocolKind;
 use rtlock_bench::distributed::{dist_label, pair_from};
-use rtlock_bench::harness::{DistributedSpec, SimSpec, SingleSiteSpec, Sweep};
-use rtlock_bench::results;
+use rtlock_bench::experiment::{Experiment, Fields};
+use rtlock_bench::harness::{DistributedSpec, SimSpec, SingleSiteSpec, Sweep, SweepResults};
 use rtlock_bench::single_site::size_label;
 
-fn main() {
-    let txns = 150;
-    let seeds = 3;
-    let dist_delays = [0u32, 4];
+const TXNS: u32 = 150;
+const SEEDS: u64 = 3;
+const DIST_DELAYS: [u32; 2] = [0, 4];
 
+fn main() {
     let mut sweep = Sweep::new();
     for kind in [ProtocolKind::PriorityCeiling, ProtocolKind::TwoPhaseLocking] {
         for size in [5u32, 20] {
-            sweep.point(
-                size_label(kind, size),
-                seeds,
-                SimSpec::SingleSite(SingleSiteSpec::figure(kind, size, txns)),
-            );
+            let spec = SingleSiteSpec::figure(kind, size, TXNS);
+            sweep.point(size_label(kind, size), SEEDS, SimSpec::SingleSite(spec));
         }
     }
-    for &delay in &dist_delays {
+    for delay in DIST_DELAYS {
         for arch in [
             CeilingArchitecture::LocalReplicated,
             CeilingArchitecture::GlobalManager,
         ] {
+            let spec = DistributedSpec::figure(arch, 0.5, delay, TXNS);
             sweep.point(
                 dist_label(arch, 0.5, delay),
-                seeds,
-                SimSpec::Distributed(DistributedSpec::figure(arch, 0.5, delay, txns)),
+                SEEDS,
+                SimSpec::Distributed(spec),
             );
         }
     }
-    let swept = rtlock_bench::check::run_sweep(&sweep);
-    rtlock_bench::trace::maybe_trace(&sweep);
-    rtlock_bench::observe::maybe_observe("all_figures", &sweep);
+    Experiment {
+        name: "all_figures",
+        title: "Reduced-scale end-to-end pass over Figures 2-6",
+        parameters: vec![("txns_per_run", TXNS.into()), ("seeds", SEEDS.into())],
+        sweep,
+        smoke: None,
+        bench_record: true,
+        report,
+    }
+    .run();
+}
 
+fn report(swept: &SweepResults, _smoke: bool) -> Fields {
     let size_point = |kind: ProtocolKind, size: u32| {
         let p = swept.point(&size_label(kind, size));
         (p.throughput().mean, p.pct_missed().mean)
     };
-
     println!("== quick single-site pass (Figures 2 & 3) ==");
     let c_small = size_point(ProtocolKind::PriorityCeiling, 5);
     let c_large = size_point(ProtocolKind::PriorityCeiling, 20);
@@ -65,26 +71,16 @@ fn main() {
     println!("claim (Fig 3: L misses more than C at size 20): {claim_f3}");
 
     println!("\n== quick distributed pass (Figures 4-6) ==");
-    for &delay in &dist_delays {
-        let (local, global) = pair_from(&swept, 0.5, delay);
+    for delay in DIST_DELAYS {
+        let (local, global) = pair_from(swept, 0.5, delay);
         println!(
             "delay {delay}: local {:.0} obj/s ({:.1}% missed) vs global {:.0} obj/s ({:.1}% missed)",
-            local.throughput.mean,
-            local.pct_missed.mean,
-            global.throughput.mean,
-            global.pct_missed.mean
+            local.throughput().mean,
+            local.pct_missed().mean,
+            global.throughput().mean,
+            global.pct_missed().mean
         );
     }
-
-    results::emit(
-        "all_figures",
-        &swept,
-        "Reduced-scale end-to-end pass over Figures 2-6",
-        vec![("txns_per_run", txns.into()), ("seeds", seeds.into())],
-    );
-    match results::record_wall_clock("all_figures", &swept) {
-        Ok(path) => println!("wall clock recorded: {}", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_SWEEP.json: {e}"),
-    }
-    println!("\ndone — run fig2..fig6 for the full-scale series");
+    println!("\n\ndone — run fig2..fig6 for the full-scale series");
+    Fields::new()
 }

@@ -1,22 +1,27 @@
 //! Parameter-space exploration helper (not part of the figure suite).
 //!
-//! Usage: `calibrate <cpu> <io> <util> <slack> <write_frac> <txns> <seeds>`
+//! Usage: `calibrate [--check] <cpu> <io> <util> <slack> <write_frac> <txns> <seeds>`
 //! sweeps the figure sizes for C, P and L under the given parameters and
 //! prints throughput / %missed / deadlocks per point.
 
 use monitor::CheckSink;
 use rtdb::{Catalog, Placement};
 use rtlock::{ProtocolKind, Simulator, SingleSiteConfig};
+use rtlock_bench::cli::Command;
 use starlite::SimDuration;
 use workload::{SizeDistribution, WorkloadSpec};
 
 fn main() {
-    let check = rtlock_bench::check::check_requested();
-    let args: Vec<f64> = std::env::args()
-        .skip(1)
-        .filter(|a| a != "--check")
-        .map(|a| a.parse().expect("numeric argument"))
-        .collect();
+    let cli = Command {
+        name: "calibrate",
+        numbers: Some((
+            "[<cpu> <io> <util> <slack> <write_frac> <txns> <seeds> <restart>]",
+            8,
+        )),
+        ..Command::default()
+    }
+    .args();
+    let (check, args) = (cli.check, cli.numbers);
     let mut violations = 0usize;
     let cpu = SimDuration::from_ticks(args.first().copied().unwrap_or(1000.0) as u64);
     let io = SimDuration::from_ticks(args.get(1).copied().unwrap_or(2000.0) as u64);
@@ -97,6 +102,6 @@ fn main() {
             eprintln!("check: {violations} violations");
             std::process::exit(1);
         }
-        println!("check: 0 violations");
+        eprintln!("check: 0 violations");
     }
 }

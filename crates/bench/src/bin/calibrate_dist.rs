@@ -1,22 +1,24 @@
 //! Distributed parameter-space exploration helper (not part of the
 //! figure suite).
 //!
-//! Usage: `calibrate_dist <util> <slack> <delay_units...>` measures both
+//! Usage: `calibrate_dist [--check] <util> <slack> <delay_units...>` measures both
 //! architectures at the 50/50 mix for each delay.
 
 use monitor::CheckSink;
 use rtdb::{Catalog, Placement};
 use rtlock::distributed::{CeilingArchitecture, DistributedConfig, DistributedSimulator};
+use rtlock_bench::cli::Command;
 use starlite::SimDuration;
 use workload::{SizeDistribution, WorkloadSpec};
 
 fn main() {
-    let check = rtlock_bench::check::check_requested();
-    let args: Vec<f64> = std::env::args()
-        .skip(1)
-        .filter(|a| a != "--check")
-        .map(|a| a.parse().expect("numeric argument"))
-        .collect();
+    let cli = Command {
+        name: "calibrate_dist",
+        numbers: Some(("[<util> <slack> <delay_units>...]", usize::MAX)),
+        ..Command::default()
+    }
+    .args();
+    let (check, args) = (cli.check, cli.numbers);
     let mut violations = 0usize;
     let util = args.first().copied().unwrap_or(0.7);
     let slack = args.get(1).copied().unwrap_or(10.0);
@@ -110,6 +112,6 @@ fn main() {
             eprintln!("check: {violations} violations");
             std::process::exit(1);
         }
-        println!("check: 0 violations");
+        eprintln!("check: 0 violations");
     }
 }

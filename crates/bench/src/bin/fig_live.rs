@@ -29,6 +29,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use monitor::{CheckConfig, CheckSink, ContentionProfiler};
+use rtlock_bench::cli::Command;
 use rtlock_bench::harness::{RunSpec, SimSpec, SingleSiteSpec};
 use rtlock_bench::results::{self, Json};
 use rtlock_live::{run_live, LiveConfig, LiveProtocol, LiveReport};
@@ -175,10 +176,14 @@ fn compare_row(protocol: LiveProtocol, config: &LiveConfig) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let compare = args.iter().any(|a| a == "--compare");
+    let args = Command {
+        name: "fig_live",
+        smoke: true,
+        compare: true,
+        ..Command::default()
+    }
+    .args();
+    let (smoke, check, compare) = (args.smoke, args.check, args.compare);
 
     let thread_counts: &[usize] = if smoke { &[4] } else { &[2, 4, 8] };
     let make = |protocol, threads| {
@@ -266,7 +271,7 @@ fn main() -> ExitCode {
     }
 
     if smoke {
-        println!("smoke mode: artifacts skipped");
+        eprintln!("smoke mode: artifacts skipped");
         return ExitCode::SUCCESS;
     }
 
@@ -311,8 +316,8 @@ fn main() -> ExitCode {
         ("wall_clock_seconds", wall.into()),
     ]);
     match results::write_json("fig_live", &json) {
-        Ok(path) => println!("\nresults: {}", path.display()),
-        Err(e) => eprintln!("\nwarning: could not write results/fig_live.json: {e}"),
+        Ok(path) => eprintln!("results: {}", path.display()),
+        Err(e) => eprintln!("warning: could not write results/fig_live.json: {e}"),
     }
     match results::record_wall_clock_entry(
         "fig_live",
@@ -327,7 +332,7 @@ fn main() -> ExitCode {
             ("overhead_ops_per_sec".to_string(), overhead_ops.into()),
         ],
     ) {
-        Ok(path) => println!("wall clock recorded: {}", path.display()),
+        Ok(path) => eprintln!("wall clock recorded: {}", path.display()),
         Err(e) => eprintln!("warning: could not write BENCH_SWEEP.json: {e}"),
     }
     ExitCode::SUCCESS

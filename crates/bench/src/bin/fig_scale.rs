@@ -9,18 +9,20 @@
 //! the script's events/sec gates are on `all_figures` and the full
 //! `fig_temporal` sweep.
 //!
-//! Usage: `fig_scale [--smoke]`
+//! Usage: `fig_scale [--smoke] [--check] [--trace <path>] [--profile…]`
 //!
-//! `--smoke` runs only the smallest scale and skips the BENCH_SWEEP.json
-//! record — the CI configuration, fast enough for every push. `--check`
-//! streams every run through the online invariant oracle as usual.
+//! `--smoke` runs only the smallest scale and writes no artifacts — the
+//! CI configuration, fast enough for every push. `--check` streams every
+//! run through the online invariant oracle as usual.
 
 use std::time::Instant;
 
 use rtlock::ProtocolKind;
-use rtlock_bench::harness::{RunSpec, SimSpec, SingleSiteSpec, Sweep};
+use rtlock_bench::experiment::{Experiment, Fields};
+use rtlock_bench::harness::{execute, RunSpec, SimSpec, SingleSiteSpec, Sweep, SweepResults};
+use rtlock_bench::observe::contention_summary;
+use rtlock_bench::params;
 use rtlock_bench::results::Json;
-use rtlock_bench::{observe, params, results};
 
 /// Objects in the stress database: 500× the paper's `DB_SIZE`.
 const SCALE_DB_SIZE: u32 = 100_000;
@@ -33,38 +35,67 @@ const SCALE_TXN_SIZE: u32 = 8;
 /// Hot objects shown in each per-point contention summary line.
 const HOT_OBJECTS: usize = 3;
 
-fn scale_spec(txns: u32) -> SingleSiteSpec {
-    SingleSiteSpec {
+/// The scales swept; `--smoke` runs only the first.
+const SCALES: [u32; 3] = [10_000, 100_000, 1_000_000];
+
+fn scale_run(txns: u32) -> RunSpec {
+    let spec = SingleSiteSpec {
         db_size: SCALE_DB_SIZE,
         ..SingleSiteSpec::figure(ProtocolKind::PriorityCeiling, SCALE_TXN_SIZE, txns)
+    };
+    RunSpec {
+        label: format!("scale/txns={txns}"),
+        seed: 0,
+        sim: SimSpec::SingleSite(spec),
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scales: &[u32] = if smoke {
-        &[10_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
+/// The recorded sweep: every scale as one harness sweep, so the
+/// BENCH_SWEEP.json entry carries the aggregate events/sec the same way
+/// the all_figures entry does.
+fn sweep(scales: &[u32]) -> Sweep {
+    let mut sweep = Sweep::new();
+    for &txns in scales {
+        let run = scale_run(txns);
+        sweep.point(run.label, 1, run.sim);
+    }
+    sweep
+}
 
-    // Per-scale detail: one seed per point, timed individually so the
-    // table shows how events/sec holds up as the working set grows from
-    // paper scale to 10⁶ transactions.
+fn main() {
+    Experiment {
+        name: "fig_scale",
+        title: "Event-core scale sweep to 1M transactions over 100k objects",
+        parameters: vec![
+            ("db_size", SCALE_DB_SIZE.into()),
+            ("txn_size", SCALE_TXN_SIZE.into()),
+            (
+                "interarrival_ticks",
+                params::interarrival_for(SCALE_TXN_SIZE).ticks().into(),
+            ),
+        ],
+        sweep: sweep(&SCALES),
+        smoke: Some(sweep(&SCALES[..1])),
+        bench_record: true,
+        report,
+    }
+    .run();
+}
+
+/// Per-scale detail: one seed per point, timed individually so the table
+/// shows how events/sec holds up as the working set grows from paper
+/// scale to 10⁶ transactions; then the sweep's aggregate.
+fn report(swept: &SweepResults, smoke: bool) -> Fields {
     println!("== event-core scale sweep (db = {SCALE_DB_SIZE} objects) ==");
     println!(
         "{:>10} {:>12} {:>10} {:>10} {:>14}",
         "txns", "events", "commits", "%missed", "events/sec"
     );
     let mut contention = Vec::new();
-    for &txns in scales {
-        let spec = RunSpec {
-            label: format!("scale/txns={txns}"),
-            seed: 0,
-            sim: SimSpec::SingleSite(scale_spec(txns)),
-        };
+    for &txns in if smoke { &SCALES[..1] } else { &SCALES[..] } {
+        let spec = scale_run(txns);
         let t0 = Instant::now();
-        let m = rtlock_bench::harness::execute(&spec);
+        let m = execute(&spec);
         let wall = t0.elapsed().as_secs_f64();
         let eps = m.events as f64 / wall;
         println!(
@@ -78,11 +109,8 @@ fn main() {
         );
         // Separate profiled re-run: the timed run above stays on NullSink
         // so events/sec measures the untraced core.
-        let (report, peak_miss) = observe::contention_summary(
-            &spec,
-            monitor::timeseries::DEFAULT_WINDOW_TICKS,
-            HOT_OBJECTS,
-        );
+        let window = monitor::timeseries::DEFAULT_WINDOW_TICKS;
+        let (report, peak_miss) = contention_summary(&spec, window, HOT_OBJECTS);
         println!(
             "{:>10} contention: hot {} | {} episodes, {} blocked ticks, peak window miss {:.2}%",
             "",
@@ -100,48 +128,11 @@ fn main() {
             ("peak_window_miss_rate", peak_miss.into()),
         ]));
     }
-
-    // The recorded sweep: every scale as one harness sweep, so the
-    // BENCH_SWEEP.json entry carries the aggregate events/sec the same
-    // way the all_figures entry does. `--check` runs the whole sweep
-    // through the invariant oracle.
-    let mut sweep = Sweep::new();
-    for &txns in scales {
-        sweep.point(
-            format!("scale/txns={txns}"),
-            1,
-            SimSpec::SingleSite(scale_spec(txns)),
-        );
-    }
-    let swept = rtlock_bench::check::run_sweep(&sweep);
     println!(
         "sweep: {} runs, {} events, {:.2}M events/sec aggregate",
         swept.run_count(),
         swept.event_count(),
         swept.events_per_sec() / 1e6,
     );
-    rtlock_bench::observe::maybe_observe("fig_scale", &sweep);
-
-    if smoke {
-        println!("smoke mode: BENCH_SWEEP.json record skipped");
-        return;
-    }
-    results::emit_with(
-        "fig_scale",
-        &swept,
-        "Event-core scale sweep to 1M transactions over 100k objects",
-        vec![
-            ("db_size", SCALE_DB_SIZE.into()),
-            ("txn_size", SCALE_TXN_SIZE.into()),
-            (
-                "interarrival_ticks",
-                params::interarrival_for(SCALE_TXN_SIZE).ticks().into(),
-            ),
-        ],
-        vec![("contention", Json::Array(contention))],
-    );
-    match results::record_wall_clock("fig_scale", &swept) {
-        Ok(path) => println!("wall clock recorded: {}", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_SWEEP.json: {e}"),
-    }
+    vec![("contention", Json::Array(contention))]
 }

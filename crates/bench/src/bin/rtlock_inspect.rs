@@ -20,8 +20,9 @@
 //!   bare `7`).
 //! * `contention --by-object` — blocked time attributed per object and
 //!   priority band.
-//! * `misses` — one explanation line per missed deadline, via
-//!   `monitor::explain_misses`.
+//! * `misses` — one explanation line per missed deadline, from the
+//!   contention profiler's blocking episodes
+//!   (`rtlock_bench::observe::miss_lines`).
 //!
 //! The trace loader round-trips exactly: replaying a loaded trace through
 //! the metrics/profiler sinks reproduces the live run's aggregates.
@@ -32,10 +33,10 @@ use std::process::ExitCode;
 
 use monitor::profile::BAND_NAMES;
 use monitor::{
-    explain_misses, read_jsonl, ContentionProfiler, MetricsSink, SimEvent, SimEventKind,
-    EVENT_KIND_COUNT,
+    read_jsonl, ContentionProfiler, MetricsSink, SimEvent, SimEventKind, EVENT_KIND_COUNT,
 };
 use rtdb::TxnId;
+use rtlock_bench::observe::miss_lines;
 use starlite::{EventSink, SimTime};
 
 /// `println!` that exits quietly when the reader closes the pipe, so
@@ -294,7 +295,7 @@ fn contention(events: &[(SimTime, SimEvent)], k: usize) {
 }
 
 fn misses(events: &[(SimTime, SimEvent)]) {
-    let lines = explain_misses(events);
+    let lines = miss_lines(events);
     if lines.is_empty() {
         out!("no missed deadlines in this trace");
         return;

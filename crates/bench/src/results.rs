@@ -44,6 +44,11 @@ impl Json {
                 .collect(),
         )
     }
+
+    /// An array of `items`.
+    pub fn array<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Json {
+        Json::Array(items.into_iter().map(Into::into).collect())
+    }
 }
 
 impl From<&str> for Json {
@@ -340,38 +345,22 @@ impl SweepResults {
     }
 }
 
-/// The directory JSON artifacts are written to (`results/` under the
-/// current working directory), created on first use.
-pub fn results_dir() -> io::Result<PathBuf> {
-    let dir = PathBuf::from("results");
-    fs::create_dir_all(&dir)?;
-    Ok(dir)
-}
-
-/// Writes `value` to `results/<name>.json` (plus a trailing newline) and
+/// Writes `value` to `results/<name>.json` (plus a trailing newline),
+/// creating `results/` under the current directory on first use, and
 /// returns the path.
 pub fn write_json(name: &str, value: &Json) -> io::Result<PathBuf> {
-    let path = results_dir()?.join(format!("{name}.json"));
+    fs::create_dir_all("results")?;
+    let path = PathBuf::from(format!("results/{name}.json"));
     fs::write(&path, format!("{value}\n"))?;
     Ok(path)
 }
 
 /// Writes the standard artifact for one binary: the deterministic sweep
-/// JSON plus a `wall_clock_seconds` / `workers` record appended at the top
-/// level. Prints the path, or a warning when the filesystem refuses.
+/// JSON, then `extra` top-level fields, then a `workers` /
+/// `wall_clock_seconds` pair (last, so the perf-smoke parity diff can
+/// keep ignoring just those two keys). Reports the path on stderr, or a
+/// warning when the filesystem refuses.
 pub fn emit(
-    name: &str,
-    results: &SweepResults,
-    experiment: &str,
-    parameters: Vec<(&'static str, Json)>,
-) {
-    emit_with(name, results, experiment, parameters, Vec::new());
-}
-
-/// [`emit`] plus caller-supplied extra top-level fields, inserted before
-/// the `workers` / `wall_clock_seconds` pair (which stay last so the
-/// perf-smoke parity diff can keep ignoring just those two keys).
-pub fn emit_with(
     name: &str,
     results: &SweepResults,
     experiment: &str,
@@ -390,8 +379,8 @@ pub fn emit_with(
         Json::from(results.wall_clock.as_secs_f64()),
     ));
     match write_json(name, &Json::Object(fields)) {
-        Ok(path) => println!("\nresults: {}", path.display()),
-        Err(e) => eprintln!("\nwarning: could not write results/{name}.json: {e}"),
+        Ok(path) => eprintln!("results: {}", path.display()),
+        Err(e) => eprintln!("warning: could not write results/{name}.json: {e}"),
     }
 }
 

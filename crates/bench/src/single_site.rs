@@ -1,66 +1,11 @@
-//! Single-site sweeps: the data behind Figures 2 and 3.
+//! Single-site grid: the data behind Figures 2 and 3.
 
-use monitor::Summary;
 use rtlock::ProtocolKind;
 
-use crate::harness::{self, RunSpec, SimSpec, SingleSiteSpec, Sweep};
+use crate::experiment::{Experiment, Report};
+use crate::harness::{SimSpec, SingleSiteSpec, Sweep};
 use crate::params;
-
-/// One measured point of the Figure 2/3 sweep.
-#[derive(Debug, Clone)]
-pub struct SizePoint {
-    /// Protocol under test.
-    pub protocol: ProtocolKind,
-    /// Transaction size (objects accessed).
-    pub size: u32,
-    /// Normalised throughput (objects/s by committed transactions),
-    /// averaged over seeds.
-    pub throughput: Summary,
-    /// Percentage of deadline-missing transactions, averaged over seeds.
-    pub pct_missed: Summary,
-    /// Mean deadlocks per run.
-    pub deadlocks: Summary,
-    /// Mean restarts per run.
-    pub restarts: Summary,
-}
-
-/// Runs one protocol at one transaction size over the canonical seeds.
-///
-/// `txn_count` and `seeds` scale the experiment (the figure binaries use
-/// the full [`params`] values; smoke tests shrink them).
-pub fn measure_size_point(
-    protocol: ProtocolKind,
-    size: u32,
-    txn_count: u32,
-    seeds: u64,
-) -> SizePoint {
-    // Deadlock victims are aborted outright (they miss), as in the paper's
-    // era; the restart economics are studied in ablation A3. The whole
-    // configuration lives in [`SingleSiteSpec::figure`].
-    let mut throughput = Vec::new();
-    let mut pct_missed = Vec::new();
-    let mut deadlocks = Vec::new();
-    let mut restarts = Vec::new();
-    for seed in 0..seeds {
-        let m = harness::execute(&RunSpec {
-            label: String::new(),
-            seed,
-            sim: SimSpec::SingleSite(SingleSiteSpec::figure(protocol, size, txn_count)),
-        });
-        throughput.push(m.throughput);
-        pct_missed.push(m.pct_missed);
-        deadlocks.push(m.deadlocks as f64);
-        restarts.push(m.restarts as f64);
-    }
-    SizePoint {
-        protocol,
-        size,
-        throughput: Summary::of(&throughput),
-        pct_missed: Summary::of(&pct_missed),
-        deadlocks: Summary::of(&deadlocks),
-        restarts: Summary::of(&restarts),
-    }
-}
+use crate::results::Json;
 
 /// The sweep label of one Figure 2/3 point.
 pub fn size_label(protocol: ProtocolKind, size: u32) -> String {
@@ -86,38 +31,6 @@ pub fn declare_size_grid(
     }
 }
 
-/// Extracts [`SizePoint`]s — size-major, protocol-minor, the order
-/// [`declare_size_grid`] declares — from a finished sweep.
-pub fn size_points_from(
-    swept: &crate::harness::SweepResults,
-    protocols: &[ProtocolKind],
-) -> Vec<SizePoint> {
-    let mut points = Vec::new();
-    for &size in &params::SIZES {
-        for &p in protocols {
-            let point = swept.point(&size_label(p, size));
-            points.push(SizePoint {
-                protocol: p,
-                size,
-                throughput: point.throughput(),
-                pct_missed: point.pct_missed(),
-                deadlocks: point.deadlocks(),
-                restarts: point.restarts(),
-            });
-        }
-    }
-    points
-}
-
-/// Sweeps every size in [`params::SIZES`] for the given protocols over
-/// the parallel harness.
-pub fn sweep_sizes(protocols: &[ProtocolKind], txn_count: u32, seeds: u64) -> Vec<SizePoint> {
-    let mut sweep = Sweep::new();
-    declare_size_grid(&mut sweep, protocols, txn_count, seeds);
-    let results = sweep.run(harness::default_workers());
-    size_points_from(&results, protocols)
-}
-
 /// The protocols Figures 2 and 3 compare: C, P, L.
 pub fn figure_protocols() -> [ProtocolKind; 3] {
     [
@@ -125,6 +38,46 @@ pub fn figure_protocols() -> [ProtocolKind; 3] {
         ProtocolKind::TwoPhaseLockingPriority,
         ProtocolKind::TwoPhaseLocking,
     ]
+}
+
+/// Figure 2 or 3: the full-scale grid over [`figure_protocols`],
+/// rendered by `report`.
+pub fn figure_experiment(name: &'static str, title: &'static str, report: Report) -> Experiment {
+    let mut sweep = Sweep::new();
+    declare_size_grid(
+        &mut sweep,
+        &figure_protocols(),
+        params::TXNS_PER_RUN,
+        params::SEEDS,
+    );
+    Experiment {
+        name,
+        title,
+        parameters: vec![
+            ("db_size", params::DB_SIZE.into()),
+            ("utilization", params::UTILIZATION.into()),
+            ("slack_factor", params::SLACK_FACTOR.into()),
+            ("txns_per_run", params::TXNS_PER_RUN.into()),
+            ("seeds", params::SEEDS.into()),
+            ("sizes", Json::array(params::SIZES)),
+        ],
+        sweep,
+        smoke: None,
+        bench_record: false,
+        report,
+    }
+}
+
+/// The setting line printed under the Figure 2 and 3 titles.
+pub fn figure_setting() -> String {
+    format!(
+        "db={} objects, util target {:.2}, slack {:.1}, {} txns x {} seeds\n",
+        params::DB_SIZE,
+        params::UTILIZATION,
+        params::SLACK_FACTOR,
+        params::TXNS_PER_RUN,
+        params::SEEDS
+    )
 }
 
 #[cfg(test)]
@@ -135,26 +88,31 @@ mod tests {
     fn size_point_reproduces_figure_claims_at_small_scale() {
         // A reduced-scale version of the Figure 2/3 qualitative check:
         // L misses more than C at the largest size.
-        let c = measure_size_point(ProtocolKind::PriorityCeiling, 20, 120, 2);
-        let l = measure_size_point(ProtocolKind::TwoPhaseLocking, 20, 120, 2);
-        assert!(c.throughput.mean > 0.0);
+        let point = |protocol| {
+            let mut sweep = Sweep::new();
+            let sim = SimSpec::SingleSite(SingleSiteSpec::figure(protocol, 20, 120));
+            sweep.point("size=20", 2, sim);
+            sweep.run(2).points.remove(0)
+        };
+        let c = point(ProtocolKind::PriorityCeiling);
+        let l = point(ProtocolKind::TwoPhaseLocking);
+        assert!(c.throughput().mean > 0.0);
         assert!(
-            l.pct_missed.mean > c.pct_missed.mean,
+            l.pct_missed().mean > c.pct_missed().mean,
             "L ({}) should miss more than C ({}) at size 20",
-            l.pct_missed.mean,
-            c.pct_missed.mean
+            l.pct_missed().mean,
+            c.pct_missed().mean
         );
-        assert!(l.deadlocks.mean > 0.0, "L must deadlock at size 20");
-        assert_eq!(c.deadlocks.mean, 0.0, "C never deadlocks");
+        assert!(l.deadlocks().mean > 0.0, "L must deadlock at size 20");
+        assert_eq!(c.deadlocks().mean, 0.0, "C never deadlocks");
     }
 
     #[test]
     fn sweep_covers_all_requested_points() {
-        let protocols = [ProtocolKind::PriorityCeiling];
-        let points = sweep_sizes(&protocols, 40, 1);
-        assert_eq!(points.len(), crate::params::SIZES.len());
-        assert!(points
-            .iter()
-            .all(|p| p.protocol == ProtocolKind::PriorityCeiling));
+        let mut sweep = Sweep::new();
+        declare_size_grid(&mut sweep, &[ProtocolKind::PriorityCeiling], 40, 1);
+        let points = sweep.run(2).points;
+        assert_eq!(points.len(), params::SIZES.len());
+        assert!(points.iter().all(|p| p.label.starts_with("C/size=")));
     }
 }

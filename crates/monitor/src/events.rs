@@ -4,17 +4,14 @@
 //! occurred" per transaction; this module is the typed version of that
 //! record. Every layer of the simulation — kernel CPU, lock table,
 //! protocol modules, site models, network — reports its happenings as
-//! [`SimEvent`]s flowing through a [`starlite::EventSink`]. Three sinks
+//! [`SimEvent`]s flowing through a [`starlite::EventSink`]. Two sinks
 //! ship here:
 //!
 //! * [`MetricsSink`] — per-kind counters plus fixed-bucket blocking and
 //!   response-time histograms ([`crate::Histogram`]),
 //! * [`ChromeTraceSink`] — a Chrome/Perfetto `trace_events` JSON exporter
 //!   keyed by simulation time (open the file in `about:tracing` or
-//!   <https://ui.perfetto.dev>),
-//! * [`explain_misses`] — a blocking-chain explainer that reconstructs why
-//!   transactions missed their deadlines ("T7 missed its deadline:
-//!   blocked 3x, 41 ticks behind T2 via ceiling on O4").
+//!   <https://ui.perfetto.dev>).
 //!
 //! Emission is deterministic: models emit inside their event handlers, so
 //! the same seed yields the same event sequence byte for byte.
@@ -899,113 +896,6 @@ impl EventSink<SimEvent> for ChromeTraceSink {
     }
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct BlockState {
-    episodes: u32,
-    total_blocked: u64,
-    since: Option<SimTime>,
-    current: Option<(Option<TxnId>, ObjectId, bool)>,
-    worst_ticks: u64,
-    worst: Option<(Option<TxnId>, ObjectId, bool)>,
-}
-
-impl BlockState {
-    fn close(&mut self, at: SimTime) {
-        if let Some(since) = self.since.take() {
-            // Saturating: loaded traces may carry adversarial timestamps.
-            let dur = at.saturating_since(since).ticks();
-            self.total_blocked += dur;
-            // Strictly longer episodes take over the worst-episode slot;
-            // a later zero-tick episode must not steal the attribution
-            // (the first episode still claims the empty slot).
-            if dur > self.worst_ticks || self.worst.is_none() {
-                self.worst_ticks = dur;
-                self.worst = self.current;
-            }
-            self.current = None;
-        }
-    }
-}
-
-/// Reconstructs blocking chains from an event stream and explains every
-/// deadline miss: how often the transaction blocked, for how long in
-/// total, and who it spent its longest episode waiting behind.
-///
-/// Returns one line per missed transaction, in miss order — e.g.
-/// `T7 missed its deadline: blocked 3x, 41 ticks behind T2 via ceiling on O4`.
-pub fn explain_misses(events: &[(SimTime, SimEvent)]) -> Vec<String> {
-    let mut state: FxHashMap<TxnId, BlockState> = FxHashMap::default();
-    let mut out = Vec::new();
-    for &(at, ev) in events {
-        match ev.kind {
-            SimEventKind::LockBlocked {
-                txn,
-                object,
-                blocker,
-                ..
-            } => {
-                let s = state.entry(txn).or_default();
-                // A block can arrive while an episode is still open (the
-                // grant event was filtered out, or a restart re-blocked);
-                // close the open episode so its time is not dropped.
-                s.close(at);
-                s.episodes += 1;
-                s.since = Some(at);
-                s.current = Some((blocker, object, false));
-            }
-            SimEventKind::CeilingBlocked {
-                txn,
-                object,
-                blocker,
-            } => {
-                let s = state.entry(txn).or_default();
-                s.close(at);
-                s.episodes += 1;
-                s.since = Some(at);
-                s.current = Some((blocker, object, true));
-            }
-            SimEventKind::LockGranted { txn, .. } | SimEventKind::LockUpgraded { txn, .. } => {
-                if let Some(s) = state.get_mut(&txn) {
-                    s.close(at);
-                }
-            }
-            SimEventKind::TxnAborted {
-                txn,
-                reason: AbortReason::DeadlineMissed,
-            } => {
-                let mut s = state.remove(&txn).unwrap_or_default();
-                s.close(at);
-                if s.episodes == 0 {
-                    out.push(format!("{txn} missed its deadline: never blocked"));
-                } else {
-                    let (blocker, object, ceiling) = s.worst.unwrap_or((None, ObjectId(0), false));
-                    let who = match blocker {
-                        Some(b) => format!("{b}"),
-                        None => String::from("peers"),
-                    };
-                    let via = if ceiling { "ceiling on" } else { "lock on" };
-                    out.push(format!(
-                        "{txn} missed its deadline: blocked {}x, {} ticks behind {who} via {via} {object}",
-                        s.episodes, s.total_blocked
-                    ));
-                }
-            }
-            SimEventKind::TxnAborted { txn, .. } => {
-                if let Some(s) = state.get_mut(&txn) {
-                    s.close(at);
-                }
-            }
-            SimEventKind::TxnCommitted { txn } => {
-                // Committed transactions can never miss; drop their state
-                // so the map stays bounded over long traces.
-                state.remove(&txn);
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1179,191 +1069,5 @@ mod tests {
         assert!(out.contains("\"yes\": true"));
         assert!(out.contains("\"commit\": false"));
         assert!(out.contains("\"object\": 7, \"version\": 12"));
-    }
-
-    #[test]
-    fn explainer_reports_blocking_chain() {
-        let events = vec![
-            (
-                t(0),
-                at_site(SimEventKind::TxnArrived {
-                    txn: TxnId(7),
-                    priority: Priority::new(1),
-                }),
-            ),
-            (
-                t(10),
-                at_site(SimEventKind::CeilingBlocked {
-                    txn: TxnId(7),
-                    object: ObjectId(4),
-                    blocker: Some(TxnId(2)),
-                }),
-            ),
-            (
-                t(51),
-                at_site(SimEventKind::LockGranted {
-                    txn: TxnId(7),
-                    object: ObjectId(4),
-                    mode: LockMode::Write,
-                }),
-            ),
-            (
-                t(60),
-                at_site(SimEventKind::TxnAborted {
-                    txn: TxnId(7),
-                    reason: AbortReason::DeadlineMissed,
-                }),
-            ),
-        ];
-        let lines = explain_misses(&events);
-        assert_eq!(
-            lines,
-            vec!["T7 missed its deadline: blocked 1x, 41 ticks behind T2 via ceiling on O4"]
-        );
-    }
-
-    #[test]
-    fn explainer_closes_open_episode_on_reblock() {
-        // Block at 10, block again at 30 (no grant in between), miss at
-        // 50: both episodes' time must be counted (20 + 20 ticks), and the
-        // second (equal-length, not longer) episode must not steal the
-        // worst slot from the first.
-        let events = vec![
-            (
-                t(10),
-                at_site(SimEventKind::LockBlocked {
-                    txn: TxnId(7),
-                    object: ObjectId(1),
-                    mode: LockMode::Write,
-                    blocker: Some(TxnId(2)),
-                }),
-            ),
-            (
-                t(30),
-                at_site(SimEventKind::LockBlocked {
-                    txn: TxnId(7),
-                    object: ObjectId(5),
-                    mode: LockMode::Write,
-                    blocker: Some(TxnId(3)),
-                }),
-            ),
-            (
-                t(50),
-                at_site(SimEventKind::TxnAborted {
-                    txn: TxnId(7),
-                    reason: AbortReason::DeadlineMissed,
-                }),
-            ),
-        ];
-        assert_eq!(
-            explain_misses(&events),
-            vec!["T7 missed its deadline: blocked 2x, 40 ticks behind T2 via lock on O1"]
-        );
-    }
-
-    #[test]
-    fn explainer_zero_tick_episode_does_not_steal_worst() {
-        let events = vec![
-            (
-                t(10),
-                at_site(SimEventKind::LockBlocked {
-                    txn: TxnId(7),
-                    object: ObjectId(1),
-                    mode: LockMode::Write,
-                    blocker: Some(TxnId(2)),
-                }),
-            ),
-            (
-                t(40),
-                at_site(SimEventKind::LockGranted {
-                    txn: TxnId(7),
-                    object: ObjectId(1),
-                    mode: LockMode::Write,
-                }),
-            ),
-            // Zero-tick episode behind someone else.
-            (
-                t(45),
-                at_site(SimEventKind::LockBlocked {
-                    txn: TxnId(7),
-                    object: ObjectId(9),
-                    mode: LockMode::Write,
-                    blocker: Some(TxnId(4)),
-                }),
-            ),
-            (
-                t(45),
-                at_site(SimEventKind::LockGranted {
-                    txn: TxnId(7),
-                    object: ObjectId(9),
-                    mode: LockMode::Write,
-                }),
-            ),
-            (
-                t(60),
-                at_site(SimEventKind::TxnAborted {
-                    txn: TxnId(7),
-                    reason: AbortReason::DeadlineMissed,
-                }),
-            ),
-        ];
-        assert_eq!(
-            explain_misses(&events),
-            vec!["T7 missed its deadline: blocked 2x, 30 ticks behind T2 via lock on O1"]
-        );
-    }
-
-    #[test]
-    fn explainer_drops_state_of_committed_txns() {
-        // A committed transaction's entry must be removed; a later miss by
-        // a different transaction is unaffected.
-        let events = vec![
-            (
-                t(10),
-                at_site(SimEventKind::LockBlocked {
-                    txn: TxnId(1),
-                    object: ObjectId(1),
-                    mode: LockMode::Write,
-                    blocker: Some(TxnId(2)),
-                }),
-            ),
-            (
-                t(20),
-                at_site(SimEventKind::LockGranted {
-                    txn: TxnId(1),
-                    object: ObjectId(1),
-                    mode: LockMode::Write,
-                }),
-            ),
-            (t(30), at_site(SimEventKind::TxnCommitted { txn: TxnId(1) })),
-            // If state survived the commit, this terminal re-use of the id
-            // would report the stale blocking history.
-            (
-                t(40),
-                at_site(SimEventKind::TxnAborted {
-                    txn: TxnId(1),
-                    reason: AbortReason::DeadlineMissed,
-                }),
-            ),
-        ];
-        assert_eq!(
-            explain_misses(&events),
-            vec!["T1 missed its deadline: never blocked"]
-        );
-    }
-
-    #[test]
-    fn explainer_handles_unblocked_misses() {
-        let events = vec![(
-            t(60),
-            at_site(SimEventKind::TxnAborted {
-                txn: TxnId(3),
-                reason: AbortReason::DeadlineMissed,
-            }),
-        )];
-        assert_eq!(
-            explain_misses(&events),
-            vec!["T3 missed its deadline: never blocked"]
-        );
     }
 }

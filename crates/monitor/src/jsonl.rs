@@ -7,8 +7,7 @@
 //! ([`read_jsonl`]) that reconstructs the exact `(SimTime, SimEvent)`
 //! stream — `write → read` round-trips the sequence bit for bit. That
 //! exactness is what lets `rtlock-inspect` answer queries offline with
-//! the same sinks (`MetricsSink`, `ContentionProfiler`, `explain_misses`)
-//! that run online.
+//! the same sinks (`MetricsSink`, `ContentionProfiler`) that run online.
 //!
 //! Line shape: `{"t":<ticks>,"site":<u8>,"kind":"<name>",<kind fields>}`.
 //! Field spellings are part of the trace format and documented in

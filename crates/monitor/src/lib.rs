@@ -15,11 +15,8 @@
 //! * [`ci`] — mean / standard deviation / 95 % confidence intervals over
 //!   the 10-seed replication the paper averages over;
 //! * [`csv`] — tabular export of experiment series;
-//! * [`serializability`] — offline conflict-graph checking of a committed
-//!   history: the reference model the online oracle's serialisability
-//!   check is tested against;
 //! * [`events`] — the unified structured event model ([`events::SimEvent`])
-//!   with the metrics, Chrome-trace and blocking-chain-explainer sinks;
+//!   with the metrics and Chrome-trace sinks;
 //! * [`check`] — the online invariant oracle ([`check::CheckSink`]):
 //!   serialisability, ceiling properties, lock legality, accounting/2PC
 //!   and replica coherence checked continuously against the event stream;
@@ -27,7 +24,8 @@
 //!   tails;
 //! * [`profile`] — the contention profiler ([`profile::ContentionProfiler`]):
 //!   blocked time attributed per object, blocker edge and priority band,
-//!   blocking-chain depth, per-site RPC latency/retries;
+//!   blocking-chain depth, per-site RPC latency/retries, and the closed
+//!   episodes themselves ([`profile::Episode`]);
 //! * [`timeseries`] — fixed-width windowed telemetry
 //!   ([`timeseries::TimeSeriesSink`]) exported as JSONL/CSV trajectories;
 //! * [`jsonl`] — the persistent replayable trace format
@@ -46,18 +44,15 @@ pub mod hist;
 pub mod jsonl;
 pub mod plot;
 pub mod profile;
-pub mod serializability;
 pub mod timeseries;
 
 pub use aggregate::{RunStats, StatsFold};
 pub use check::{CheckConfig, CheckSink, Violation};
 pub use ci::Summary;
 pub use events::{
-    explain_misses, AbortReason, ChromeTraceSink, MetricsSink, SimEvent, SimEventKind,
-    EVENT_KIND_COUNT,
+    AbortReason, ChromeTraceSink, MetricsSink, SimEvent, SimEventKind, EVENT_KIND_COUNT,
 };
 pub use hist::Histogram;
 pub use jsonl::{read_jsonl, JsonlSink};
 pub use profile::{ContentionProfiler, ContentionReport};
-pub use serializability::{check_conflict_serializable, SerializabilityError};
 pub use timeseries::TimeSeriesSink;

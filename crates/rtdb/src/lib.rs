@@ -14,7 +14,6 @@
 //!   writes without per-object locks.
 //! * [`wfg`] — the waits-for graph and deadlock (cycle) detection.
 //! * [`txn`] — transaction specifications, runtime state and statistics.
-//! * [`history`] — committed-operation logs for serialisability checking.
 //! * [`commit`] — two-phase commit coordinator / participant state machines.
 //!
 //! Data objects carry actual `u64` values so correctness (not just timing)
@@ -26,7 +25,6 @@
 
 pub mod catalog;
 pub mod commit;
-pub mod history;
 pub mod ids;
 pub mod latch;
 pub mod lock;
@@ -38,7 +36,6 @@ pub mod wfg;
 
 pub use catalog::{Catalog, Placement};
 pub use commit::{Coordinator, CoordinatorAction, Participant, ParticipantAction, Vote};
-pub use history::{History, OpKind, Operation};
 pub use ids::{ObjectId, SiteId, TxnId};
 pub use latch::{GrantedLatch, LatchOutcome, RangeLatchManager};
 pub use lock::{GrantedLock, LockEvent, LockMode, LockOutcome, LockTable, QueuePolicy};

@@ -6,9 +6,12 @@
 #      fig2-fig6, the eight ablations and fig_temporal) is regenerated,
 #      and results/*.json must match the committed figures exactly,
 #      except the environment-dependent `wall_clock_seconds` and
-#      `workers` fields. The all_figures run is traced, so the committed
-#      Chrome trace golden (results/all_figures.trace.json) is covered
-#      by the same diff — tracing must stay byte-deterministic.
+#      `workers` fields. Each binary's stdout (its report: status lines
+#      go to stderr) is written to results/<name>.txt, so the committed
+#      tables are covered by the same diff. The all_figures run is
+#      traced, so the committed Chrome trace golden
+#      (results/all_figures.trace.json) is covered too — tracing must
+#      stay byte-deterministic.
 #   2. Wall clock: all_figures must not take more than 2x the committed
 #      BENCH_SWEEP.json baseline.
 #   3. Throughput: neither all_figures nor the full fig_temporal sweep
@@ -69,7 +72,7 @@ fi
 cargo build --release --workspace
 RTLOCK_BENCH_WORKERS=1 ./target/release/all_figures --check \
     --trace results/all_figures.trace.json \
-    --record=results/all_figures.trace.jsonl
+    --record=results/all_figures.trace.jsonl > results/all_figures.txt
 
 # Every other deterministic experiment is fully seeded too (the fault
 # sweep also seeds its fault streams), so each results file must
@@ -80,11 +83,11 @@ for bin in fig2 fig3 fig4 fig5 fig6 \
     ablation_rw_semantics ablation_inheritance ablation_victim \
     ablation_timestamp ablation_io ablation_temporal ablation_granularity \
     ablation_faults fig_temporal; do
-    RTLOCK_BENCH_WORKERS=1 "./target/release/${bin}" --check > /dev/null
+    RTLOCK_BENCH_WORKERS=1 "./target/release/${bin}" --check > "results/${bin}.txt"
 done
 
-# Reduced-scale pass over the stress configuration. `--smoke` skips the
-# BENCH_SWEEP.json record, so the committed full-scale entry survives.
+# Reduced-scale pass over the stress configuration. `--smoke` writes no
+# artifacts, so the committed full-scale entry survives.
 RTLOCK_BENCH_WORKERS=1 ./target/release/fig_scale --smoke --check
 
 # Real-threads backend, oracle-checked. `--smoke` writes no artifacts,

@@ -341,7 +341,7 @@ fn explainer_covers_every_missed_deadline() {
         .build();
     let mut sink = VecSink::new();
     let report = Simulator::new(config, catalog, &workload).run_with(3, &mut sink);
-    let lines = monitor::explain_misses(sink.events());
+    let lines = rtlock_bench::observe::miss_lines(sink.events());
     assert_eq!(
         lines.len(),
         report.stats.missed as usize,
