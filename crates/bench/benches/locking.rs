@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtdb::{LockMode, LockTable, ObjectId, QueuePolicy, SiteId, TxnId, TxnSpec, WaitsForGraph};
 use rtlock::protocols::{LockProtocol, PriorityCeilingProtocol, ReleaseReason};
-use rtlock_live::{Acquire, LiveGate, LiveProtocol, Recorder, ThreadLog};
+use rtlock_live::{Acquire, LiveGate, LiveProtocol};
 use starlite::{Priority, SimTime};
 
 fn bench_lock_table(c: &mut Criterion) {
@@ -145,10 +145,11 @@ fn bench_wfg(c: &mut Criterion) {
 
 fn bench_live_uncontended(c: &mut Criterion) {
     // The `live-overhead` shape on one thread: a registered transaction
-    // reads 16 and writes 16 of 10⁵ objects, then finishes, recording
-    // every event into a fresh per-iteration log — the live lock path
-    // through the gate, its uncontended latch and the recorder, nothing
-    // else. One arm per live protocol.
+    // reads 16 and writes 16 of 10⁵ objects, then finishes, and the
+    // gate's events are taken so its buffer does not grow across
+    // iterations — the live lock path through the gate, its uncontended
+    // latch and the event buffer, nothing else. One arm per live
+    // protocol.
     let mut group = c.benchmark_group("locking/live/uncontended_32");
     group.sample_size(200);
     let txn = TxnId(1);
@@ -168,31 +169,20 @@ fn bench_live_uncontended(c: &mut Criterion) {
         SiteId(0),
     );
     let deadline = Instant::now() + Duration::from_secs(3_600);
-    let rec = Recorder::new();
 
     for protocol in LiveProtocol::all() {
         group.bench_function(protocol.name(), |b| {
             let gate = LiveGate::new(protocol);
             b.iter(|| {
-                let mut log = ThreadLog::new();
                 let mut blocked = 0;
-                gate.register(&rec, &mut log, rec.now_ticks(), &spec);
+                gate.register(gate.now_ticks(), &spec);
                 for &(object, mode) in &plan {
-                    let at = rec.now_ticks();
-                    let outcome = gate.acquire(
-                        &rec,
-                        &mut log,
-                        at,
-                        txn,
-                        object,
-                        mode,
-                        deadline,
-                        &mut blocked,
-                    );
+                    let at = gate.now_ticks();
+                    let outcome = gate.acquire(at, txn, object, mode, deadline, &mut blocked);
                     assert_eq!(outcome, Acquire::Granted);
                 }
-                gate.finish(&rec, &mut log, txn, true);
-                log.len()
+                gate.finish(txn, true);
+                gate.take_events().len()
             });
         });
     }

@@ -1,6 +1,6 @@
 //! Live-backend sweep: the four locking protocols executed by real OS
 //! worker threads against wall-clock deadlines (`rtlock-live`), swept
-//! over thread counts, with every run's merged event stream replayable
+//! over thread counts, with every run's event stream replayable
 //! through the invariant oracle.
 //!
 //! A second, uncontended point isolates the live lock path: one worker
@@ -20,7 +20,7 @@
 //!
 //! `--smoke` runs a reduced grid (the overhead point at 120
 //! transactions) and writes nothing — the CI configuration. `--check`
-//! replays every run's merged stream through `monitor::CheckSink` under
+//! replays every run's event stream through `monitor::CheckSink` under
 //! `CheckConfig::live` and exits nonzero on any violation. `--compare`
 //! adds the simulated counterpart of each protocol at the same
 //! transaction count for a side-by-side table.
@@ -38,7 +38,7 @@ use starlite::EventSink;
 /// Hot objects shown in each per-run contention summary line.
 const HOT_OBJECTS: usize = 3;
 
-/// Replays the merged stream through the oracle; returns the number of
+/// Replays the run's events through the oracle; returns the number of
 /// violations after printing each one.
 fn oracle_violations(report: &LiveReport, ceiling: bool) -> usize {
     let mut sink = CheckSink::new(CheckConfig::live(ceiling));
@@ -52,7 +52,7 @@ fn oracle_violations(report: &LiveReport, ceiling: bool) -> usize {
     violations.len()
 }
 
-/// Replays the merged stream through the contention profiler and prints
+/// Replays the run's events through the contention profiler and prints
 /// the one-line hot-object summary.
 fn profile(report: &LiveReport) -> Json {
     let mut profiler = ContentionProfiler::new();

@@ -26,6 +26,12 @@
 //!
 //! The trace loader round-trips exactly: replaying a loaded trace through
 //! the metrics/profiler sinks reproduces the live run's aggregates.
+//!
+//! The whole command line is checked before any trace is read. A usage
+//! error — an unknown flag or command, a bad `--k` or transaction id, a
+//! wrong number of arguments — prints one `error:` line plus the usage
+//! and exits 2; a trace that cannot be read or parsed, or a `txn` absent
+//! from it, prints one `error:` line and exits 1.
 
 use std::fs::File;
 use std::io::BufReader;
@@ -61,15 +67,24 @@ fn usage() -> &'static str {
        misses                   explain every missed deadline"
 }
 
-struct Args {
-    command: String,
-    positionals: Vec<String>,
-    k: usize,
-    by_object: bool,
+/// One checked query.
+enum Query {
+    Summary,
+    TopBlockers,
+    Txn(TxnId),
+    Contention,
+    Misses,
 }
 
+struct Args {
+    query: Query,
+    path: String,
+    k: usize,
+}
+
+/// Parses and checks the whole command line; every error is a usage
+/// error.
 fn parse_args() -> Result<Args, String> {
-    let mut command = None;
     let mut positionals = Vec::new();
     let mut k = 10usize;
     let mut by_object = false;
@@ -85,19 +100,40 @@ fn parse_args() -> Result<Args, String> {
             by_object = true;
         } else if arg.starts_with("--") {
             return Err(format!("unknown flag {arg:?}"));
-        } else if command.is_none() {
-            command = Some(arg);
         } else {
             positionals.push(arg);
         }
     }
-    let command = command.ok_or_else(|| "missing command".to_string())?;
+    let Some((command, rest)) = positionals.split_first() else {
+        return Err("missing command".into());
+    };
+    let (query, path) = match (command.as_str(), rest) {
+        ("summary", [path]) => (Query::Summary, path),
+        ("top-blockers", [path]) => (Query::TopBlockers, path),
+        ("contention", [path]) if by_object => (Query::Contention, path),
+        ("contention", [_]) => return Err("contention currently requires --by-object".into()),
+        ("misses", [path]) => (Query::Misses, path),
+        ("txn", [id, path]) => (Query::Txn(parse_txn(id)?), path),
+        ("txn", _) => return Err("txn takes a transaction id and a trace path".into()),
+        ("summary" | "top-blockers" | "contention" | "misses", _) => {
+            return Err(format!("{command} takes exactly one trace path"));
+        }
+        (other, _) => return Err(format!("unknown command {other:?}")),
+    };
     Ok(Args {
-        command,
-        positionals,
+        query,
+        path: path.clone(),
         k,
-        by_object,
     })
+}
+
+/// A transaction id, `T7` or bare `7`.
+fn parse_txn(id: &str) -> Result<TxnId, String> {
+    let digits = id.strip_prefix('T').unwrap_or(id);
+    digits
+        .parse()
+        .map(TxnId)
+        .map_err(|_| format!("transaction id must be T<n> or <n>, got {id:?}"))
 }
 
 fn load(path: &str) -> Result<Vec<(SimTime, SimEvent)>, String> {
@@ -222,12 +258,7 @@ fn top_blockers(events: &[(SimTime, SimEvent)], k: usize) {
     );
 }
 
-fn txn_timeline(events: &[(SimTime, SimEvent)], id: &str) -> Result<(), String> {
-    let digits = id.strip_prefix('T').unwrap_or(id);
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("transaction id must be T<n> or <n>, got {id:?}"))?;
-    let txn = TxnId(n);
+fn txn_timeline(events: &[(SimTime, SimEvent)], txn: TxnId) -> Result<(), String> {
     let mut shown = 0u64;
     let mut blocked_since: Option<SimTime> = None;
     let mut blocked_ticks = 0u64;
@@ -305,43 +336,31 @@ fn misses(events: &[(SimTime, SimEvent)]) {
     }
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    match args.command.as_str() {
-        "summary" | "top-blockers" | "contention" | "misses" => {
-            let [path] = args.positionals.as_slice() else {
-                return Err(format!("{} takes exactly one trace path", args.command));
-            };
-            let events = load(path)?;
-            match args.command.as_str() {
-                "summary" => summary(&events),
-                "top-blockers" => top_blockers(&events, args.k),
-                "misses" => misses(&events),
-                _ => {
-                    if !args.by_object {
-                        return Err("contention currently requires --by-object".into());
-                    }
-                    contention(&events, args.k);
-                }
-            }
-            Ok(())
-        }
-        "txn" => {
-            let [id, path] = args.positionals.as_slice() else {
-                return Err("txn takes a transaction id and a trace path".into());
-            };
-            let events = load(path)?;
-            txn_timeline(&events, id)
-        }
-        other => Err(format!("unknown command {other:?}")),
+/// Answers a checked query from its trace.
+fn run(args: &Args) -> Result<(), String> {
+    let events = load(&args.path)?;
+    match args.query {
+        Query::Summary => summary(&events),
+        Query::TopBlockers => top_blockers(&events, args.k),
+        Query::Txn(txn) => return txn_timeline(&events, txn),
+        Query::Contention => contention(&events, args.k),
+        Query::Misses => misses(&events),
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
+    let args = match parse_args() {
+        Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

@@ -7,9 +7,10 @@
 //! runs. Three kinds of bad input — an unknown flag, a flag this binary
 //! does not take, and a missing or malformed value — print one `error:`
 //! line plus the usage to stderr and exit with status 2, without running
-//! or writing anything. (Exit 1 stays the oracle's: a `--check` run
-//! that finds a violation.) [`crate::experiment`] says what each flag
-//! does.
+//! or writing anything; the sweep binaries end a malformed
+//! `RTLOCK_BENCH_WORKERS` the same way ([`Command::exit`]). (Exit 1
+//! stays the oracle's: a `--check` run that finds a violation.)
+//! [`crate::experiment`] says what each flag does.
 
 use std::path::PathBuf;
 
@@ -79,10 +80,15 @@ impl Command {
     /// Parses the process arguments; on bad input prints the diagnostic
     /// and the usage to stderr and exits with status 2.
     pub fn args(&self) -> Args {
-        self.parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{}", self.usage());
-            std::process::exit(2)
-        })
+        self.parse(std::env::args().skip(1))
+            .unwrap_or_else(|e| self.exit(&e))
+    }
+
+    /// Prints `error` and the usage to stderr and exits with status 2:
+    /// the end of every bad invocation, environment included.
+    pub fn exit(&self, error: &str) -> ! {
+        eprintln!("error: {error}\n\n{}", self.usage());
+        std::process::exit(2)
     }
 
     /// Parses `args` (the arguments after the program name).

@@ -7,9 +7,10 @@
 //! table and claims from the finished [`SweepResults`].
 //! [`Experiment::run`] does the rest the same way for every binary:
 //!
-//! 1. parses the arguments once ([`crate::cli`]); bad input exits 2
-//!    before any run;
-//! 2. runs the sweep on [`default_workers`] threads — with `--check`,
+//! 1. parses the arguments once ([`crate::cli`]) and reads the worker
+//!    count ([`default_workers`]); bad input, a malformed
+//!    `RTLOCK_BENCH_WORKERS` included, exits 2 before any run;
+//! 2. runs the sweep on that many threads — with `--check`,
 //!    every run streams through the invariant oracle
 //!    ([`monitor::CheckSink`]), and any violation is printed with its
 //!    event subsequence and exits 1 (the metrics are unchanged: the
@@ -82,18 +83,19 @@ impl Experiment {
     /// Parses the arguments, runs the sweep and writes everything the
     /// flags ask for (see the [module docs](self)).
     pub fn run(self) {
-        let args = Command {
+        let command = Command {
             name: self.name,
             smoke: self.smoke.is_some(),
             artifacts: true,
             ..Command::default()
-        }
-        .args();
+        };
+        let args = command.args();
+        let workers = default_workers().unwrap_or_else(|e| command.exit(&e));
         let sweep = match &self.smoke {
             Some(smoke) if args.smoke => smoke,
             _ => &self.sweep,
         };
-        let swept = run_sweep(sweep, args.check);
+        let swept = run_sweep(sweep, workers, args.check);
         if let Some(spec) = sweep.specs().first() {
             write_artifacts(spec, &args);
         }
@@ -123,13 +125,13 @@ pub fn print_table(table: &Table, plot: Option<String>) {
     println!("CSV:\n{}\n", table.to_csv());
 }
 
-/// Runs `sweep`, under the oracle when `check` is set; exits 1 after
-/// printing every violation.
-fn run_sweep(sweep: &Sweep, check: bool) -> SweepResults {
+/// Runs `sweep` on `workers` threads, under the oracle when `check` is
+/// set; exits 1 after printing every violation.
+fn run_sweep(sweep: &Sweep, workers: usize, check: bool) -> SweepResults {
     if !check {
-        return sweep.run(default_workers());
+        return sweep.run(workers);
     }
-    let swept = sweep.run_checked(default_workers());
+    let swept = sweep.run_checked(workers);
     if swept.violations.is_empty() {
         eprintln!("check: {} runs, 0 violations", swept.run_count());
         return swept;

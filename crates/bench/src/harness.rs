@@ -13,6 +13,7 @@
 //! comparing the serialised results of a 1-worker and an N-worker
 //! execution byte for byte.
 
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -618,15 +619,22 @@ impl Sweep {
 
 /// Worker count for the figure binaries: `RTLOCK_BENCH_WORKERS` when set,
 /// otherwise the host's available parallelism.
-pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("RTLOCK_BENCH_WORKERS") {
-        let n: usize = v
+///
+/// # Errors
+///
+/// Returns the diagnostic when the variable is set to anything but a
+/// positive integer.
+pub fn default_workers() -> Result<usize, String> {
+    match std::env::var("RTLOCK_BENCH_WORKERS") {
+        Err(std::env::VarError::NotPresent) => {
+            Ok(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+        }
+        Ok(v) => v
             .parse()
-            .unwrap_or_else(|_| panic!("RTLOCK_BENCH_WORKERS={v:?} is not a number"));
-        assert!(n > 0, "RTLOCK_BENCH_WORKERS must be positive");
-        return n;
+            .map(NonZeroUsize::get)
+            .map_err(|_| format!("RTLOCK_BENCH_WORKERS needs a positive integer, got {v:?}")),
+        Err(e) => Err(format!("RTLOCK_BENCH_WORKERS: {e}")),
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]

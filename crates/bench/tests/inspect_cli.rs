@@ -1,7 +1,7 @@
 //! Regression tests for `rtlock-inspect` on hostile input: every
 //! subcommand fed missing, truncated, binary-garbage, and
-//! wrong-schema traces must exit nonzero with a one-line diagnostic —
-//! never panic, never succeed silently.
+//! wrong-schema traces must exit 1 with a one-line diagnostic, and a bad
+//! command line must exit 2 — never panic, never succeed silently.
 
 use std::fs;
 use std::path::PathBuf;
@@ -39,13 +39,14 @@ fn scratch(name: &str, contents: &[u8]) -> PathBuf {
     path
 }
 
-/// Asserts the hostile-input contract: nonzero exit, a diagnostic on
-/// stderr that starts with `error:`, and no panic backtrace.
-fn assert_rejected(out: &Output, what: &str) {
+/// Asserts the hostile-input contract: exit status `code`, a diagnostic
+/// on stderr that starts with `error:`, and no panic backtrace.
+fn assert_rejected(out: &Output, what: &str, code: i32) {
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        !out.status.success(),
-        "{what}: expected nonzero exit, got success\nstderr: {stderr}"
+    assert_eq!(
+        out.status.code(),
+        Some(code),
+        "{what}: exit status\nstderr: {stderr}"
     );
     assert!(
         stderr.starts_with("error: "),
@@ -61,7 +62,7 @@ fn assert_rejected(out: &Output, what: &str) {
 fn missing_file_is_a_diagnostic_not_a_panic() {
     for args in subcommands() {
         let out = run(&args, "/nonexistent/definitely/missing.jsonl");
-        assert_rejected(&out, &format!("{args:?} on a missing file"));
+        assert_rejected(&out, &format!("{args:?} on a missing file"), 1);
     }
 }
 
@@ -75,7 +76,7 @@ fn binary_garbage_is_rejected_cleanly() {
     let path = scratch("garbage", garbage);
     for args in subcommands() {
         let out = run(&args, path.to_str().unwrap());
-        assert_rejected(&out, &format!("{args:?} on binary garbage"));
+        assert_rejected(&out, &format!("{args:?} on binary garbage"), 1);
     }
     let _ = fs::remove_file(&path);
 }
@@ -88,7 +89,7 @@ fn wrong_schema_json_is_rejected_cleanly() {
     );
     for args in subcommands() {
         let out = run(&args, path.to_str().unwrap());
-        assert_rejected(&out, &format!("{args:?} on wrong-schema JSON"));
+        assert_rejected(&out, &format!("{args:?} on wrong-schema JSON"), 1);
     }
     let _ = fs::remove_file(&path);
 }
@@ -134,7 +135,7 @@ fn truncated_tail_is_rejected_cleanly() {
     let path = scratch("truncated", &bytes);
     for args in subcommands() {
         let out = run(&args, path.to_str().unwrap());
-        assert_rejected(&out, &format!("{args:?} on a truncated trace"));
+        assert_rejected(&out, &format!("{args:?} on a truncated trace"), 1);
     }
     let _ = fs::remove_file(&path);
 }
@@ -155,11 +156,32 @@ fn valid_trace_still_succeeds() {
 
 #[test]
 fn usage_errors_are_single_diagnostics() {
-    for args in [vec![], vec!["frobnicate"], vec!["txn", "not-a-txn-id"]] {
+    let path = scratch("usage", &valid_trace());
+    let trace = path.to_str().unwrap();
+    for args in [
+        vec![],
+        vec!["frobnicate"],
+        vec!["frobnicate", trace],
+        vec!["--bogus", trace],
+        vec!["summary", "--bogus", trace],
+        vec!["top-blockers", "--k=0", trace],
+        vec!["top-blockers", "--k=abc", trace],
+        vec!["summary"],
+        vec!["summary", trace, trace],
+        vec!["contention", trace],
+        vec!["txn", "not-a-txn-id"],
+        vec!["txn", "not-a-txn-id", trace],
+    ] {
         let out = Command::new(BIN)
             .args(&args)
             .output()
             .expect("spawn rtlock-inspect");
-        assert_rejected(&out, &format!("usage error {args:?}"));
+        assert_rejected(&out, &format!("usage error {args:?}"), 2);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: "), "{args:?}: no usage\n{stderr}");
     }
+    // A well-formed query the trace cannot answer is not a usage error.
+    let out = run(&["txn", "T99"], trace);
+    assert_rejected(&out, "txn absent from the trace", 1);
+    let _ = fs::remove_file(&path);
 }

@@ -15,12 +15,13 @@
 //!   protocol) behind a single mutex, with condvar wait slots for
 //!   denied requests and deadlock victims restarted inside the critical
 //!   section that found the cycle — so live and simulated runs share one
-//!   implementation of the paper's rules;
-//! * [`recorder`] — sequence-stamped per-thread event buffers whose
-//!   merge is a valid linearization of the gate's history (each event
-//!   takes its sequence number inside the critical section that performs
-//!   the state change it describes, while the wall clock is read once per
-//!   lock-manager call and passed to every event the call records);
+//!   implementation of the paper's rules. The gate also owns the run's
+//!   one event buffer: every event is appended inside the critical
+//!   section that performs the state change it describes, so with one
+//!   latch the append order is a valid linearization of the gate's
+//!   history. The wall clock is read once per lock-manager call and
+//!   passed to every event the call records, each stamp clamped to the
+//!   buffer's running maximum;
 //! * [`runner`] — N worker threads executing generated `workload`
 //!   transactions closed-loop, with per-transaction wall deadlines,
 //!   deadlock-victim restarts, and a deliberately non-atomic shared
@@ -29,7 +30,7 @@
 //! What the oracle can and cannot check on a wall-clock run: everything
 //! structural — lock compatibility, upgrade legality, release matching,
 //! transaction accounting, deadlock freedom for PCP, WFG acyclicity —
-//! transfers unchanged, because the merged stream linearizes the actual
+//! transfers unchanged, because the gate's stream linearizes the actual
 //! lock-state history. The one casualty is *blocked-at-most-once*, a
 //! uniprocessor scheduling property; [`monitor::CheckConfig::live`]
 //! waives exactly that check and nothing else.
@@ -45,7 +46,7 @@
 //! assert_eq!(report.processed, 20);
 //! assert!(report.store_consistent);
 //!
-//! // Replay the merged stream through the invariant oracle.
+//! // Replay the gate's stream through the invariant oracle.
 //! let mut sink = CheckSink::new(CheckConfig::live(false));
 //! for (at, event) in &report.events {
 //!     sink.emit(*at, *event);
@@ -54,9 +55,7 @@
 //! ```
 
 pub mod gate;
-pub mod recorder;
 pub mod runner;
 
-pub use gate::{Acquire, LiveGate};
-pub use recorder::{Recorder, ThreadLog, TICK_NS};
+pub use gate::{Acquire, LiveGate, TICK_NS};
 pub use runner::{run_live, LiveConfig, LiveProtocol, LiveReport};

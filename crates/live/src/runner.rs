@@ -6,25 +6,25 @@
 //! claim transactions closed-loop from the arrival-ordered list. Each
 //! claim starts the transaction's wall clock: its deadline is the spec's
 //! relative deadline (`deadline − arrival`, in ticks) converted to real
-//! nanoseconds at [`TICK_NS`](crate::recorder::TICK_NS) from the claim
+//! nanoseconds at [`TICK_NS`] from the claim
 //! instant. Workers then run the classic strict-2PL shape — acquire every
 //! lock (reads first, then writes), do the work while holding, commit,
 //! release — through one [`LiveGate`] around the protocol's state
-//! machine. A deadlock victim's locks are released by the gate that
-//! picked it, so a worker keeps no list of what it holds: it retries from
-//! its first lock, and its one [`LiveGate::finish`] releases whatever the
-//! protocol says it holds.
+//! machine. A deadlock victim's abort and releases are recorded by the
+//! gate that picked it, so a worker keeps no list of what it holds: it
+//! retries from its first lock, and its one [`LiveGate::finish`] releases
+//! whatever the protocol says it holds.
 //!
 //! Each step reads the clock once: that reading tests the deadline and
 //! stamps every event the step's acquire records. Releases take their own
 //! reading, and the terminal commit or abort reads the clock again after
-//! its release (see [`crate::recorder`]).
+//! its release (see [`crate::gate`]). Workers record nothing themselves.
 //!
 //! Two cross-checks come out of every run:
 //!
-//! * the per-thread event buffers, merged by sequence stamp into one
-//!   stream ([`LiveReport::events`]) for `monitor::CheckSink` replay
-//!   under [`monitor::CheckConfig::live`];
+//! * the gate's event stream, taken as the gate appended it
+//!   ([`LiveReport::events`]), for `monitor::CheckSink` replay under
+//!   [`monitor::CheckConfig::live`];
 //! * a shared data store written with deliberately non-atomic
 //!   read-modify-write increments under write locks
 //!   ([`LiveReport::store_consistent`]) — if write-lock exclusivity ever
@@ -34,13 +34,12 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use monitor::{AbortReason, Histogram, SimEvent, SimEventKind};
+use monitor::{Histogram, SimEvent};
 use rtdb::{Catalog, LockMode, ObjectId, Placement, TxnSpec};
 use starlite::{SimDuration, SimTime};
 use workload::{Generator, SizeDistribution, WorkloadSpec};
 
-use crate::gate::{Acquire, LiveGate};
-use crate::recorder::{Recorder, ThreadLog, TICK_NS};
+use crate::gate::{Acquire, LiveGate, TICK_NS};
 
 /// Which locking protocol the live run executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,7 +195,9 @@ pub struct LiveReport {
     pub wall: Duration,
     /// Per-transaction blocked time, in ticks (µs).
     pub blocked_hist: Histogram,
-    /// The merged, sequence-ordered event stream for oracle replay.
+    /// The gate's event stream exactly as it appended it: a linearization
+    /// of the lock manager's history with non-decreasing stamps, for
+    /// oracle replay.
     pub events: Vec<(SimTime, SimEvent)>,
     /// Whether the shared store's final counts match the committed write
     /// sets — the lost-update witness for write-lock exclusivity.
@@ -266,30 +267,19 @@ pub fn run_live(config: &LiveConfig) -> LiveReport {
     let specs = config.transactions();
 
     let gate = LiveGate::new(config.protocol);
-    let rec = Recorder::new();
     let next = AtomicUsize::new(0);
     let store: Vec<AtomicU64> = (0..config.db_size).map(|_| AtomicU64::new(0)).collect();
 
     let started = Instant::now();
-    let mut results: Vec<(ThreadLog, WorkerStats)> = std::thread::scope(|scope| {
+    let results: Vec<WorkerStats> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut log = ThreadLog::new();
                     let mut stats = WorkerStats::default();
                     loop {
                         let idx = next.fetch_add(1, Ordering::Relaxed);
                         let Some(spec) = specs.get(idx) else { break };
-                        let outcome = run_txn(
-                            &gate,
-                            &rec,
-                            &mut log,
-                            spec,
-                            &store,
-                            config.hold_us,
-                            &mut stats,
-                        );
-                        match outcome {
+                        match run_txn(&gate, spec, &store, config.hold_us, &mut stats) {
                             TxnOutcome::Committed => {
                                 stats.committed += 1;
                                 stats.committed_idx.push(idx);
@@ -297,7 +287,7 @@ pub fn run_live(config: &LiveConfig) -> LiveReport {
                             TxnOutcome::Missed => stats.missed += 1,
                         }
                     }
-                    (log, stats)
+                    stats
                 })
             })
             .collect();
@@ -316,7 +306,7 @@ pub fn run_live(config: &LiveConfig) -> LiveReport {
     let mut missed = 0u32;
     let mut restarts = 0u32;
     let mut blocked_hist = Histogram::new();
-    for (_, stats) in &results {
+    for stats in &results {
         committed += stats.committed;
         missed += stats.missed;
         restarts += stats.restarts;
@@ -334,7 +324,7 @@ pub fn run_live(config: &LiveConfig) -> LiveReport {
 
     let deadlocks = gate.deadlocks();
     let ceiling_blocks = gate.ceiling_blocks();
-    let events = Recorder::merge(results.drain(..).map(|(log, _)| log).collect());
+    let events = gate.take_events();
 
     LiveReport {
         protocol: config.protocol.name(),
@@ -356,8 +346,6 @@ pub fn run_live(config: &LiveConfig) -> LiveReport {
 /// wall deadline (restarting through deadlock-victim aborts on the way).
 fn run_txn(
     gate: &LiveGate,
-    rec: &Recorder,
-    log: &mut ThreadLog,
     spec: &TxnSpec,
     store: &[AtomicU64],
     hold_us: u64,
@@ -371,9 +359,7 @@ fn run_txn(
         .max(1);
     let claimed = Instant::now();
     let deadline = claimed + Duration::from_nanos(relative_ticks * TICK_NS);
-    let at = rec.ticks_at(claimed);
-    gate.register(rec, log, at, spec);
-    log.record(rec, at, SimEventKind::TxnStarted { txn });
+    gate.register(gate.ticks_at(claimed), spec);
 
     // Strict 2PL: reads first, then writes; an object in both sets is
     // read-locked in the growing phase and upgraded at its write.
@@ -391,11 +377,8 @@ fn run_txn(
             if now >= deadline {
                 break 'retry TxnOutcome::Missed;
             }
-            let at = rec.ticks_at(now);
             match gate.acquire(
-                rec,
-                log,
-                at,
+                gate.ticks_at(now),
                 txn,
                 object,
                 mode,
@@ -405,23 +388,11 @@ fn run_txn(
                 Acquire::Granted => busy_work(hold_us),
                 Acquire::Timeout => break 'retry TxnOutcome::Missed,
                 Acquire::Deadlock => {
-                    // Chosen as a deadlock victim: the gate has released
-                    // everything. Abort (non-terminal under restart
-                    // semantics) and retry from the top if the deadline
-                    // still allows it.
-                    let now = Instant::now();
-                    log.record(
-                        rec,
-                        rec.ticks_at(now),
-                        SimEventKind::TxnAborted {
-                            txn,
-                            reason: AbortReason::DeadlockVictim,
-                        },
-                    );
+                    // Chosen as a deadlock victim: the gate has recorded
+                    // the (non-terminal) abort and released everything.
+                    // Retry from the top; its first step's deadline test
+                    // ends the transaction if the deadline has passed.
                     stats.restarts += 1;
-                    if now >= deadline {
-                        break 'retry TxnOutcome::Missed;
-                    }
                     continue 'retry;
                 }
             }
@@ -445,7 +416,7 @@ fn run_txn(
         }
         break 'retry TxnOutcome::Committed;
     };
-    gate.finish(rec, log, txn, matches!(outcome, TxnOutcome::Committed));
+    gate.finish(txn, matches!(outcome, TxnOutcome::Committed));
     stats.blocked_hist.record(blocked_ticks);
     outcome
 }

@@ -1,14 +1,14 @@
 //! Conformance replay: the live gate makes no locking decision of its
 //! own.
 //!
-//! The gate records every protocol call it makes inside its critical
-//! section — a registration as `TxnArrived`, a request as its
-//! `LockRequested`, a finish closed by its terminal event — so a run's
-//! merged stream is a complete call log. Replaying that log into a fresh
-//! instance of the same simulator protocol, one call per critical
-//! section, must reproduce the live run's lock events exactly: every
-//! grant, block, deadlock victim, release and inheritance the gate
-//! recorded is the protocol's own decision.
+//! The gate records every event inside the critical section that
+//! performs it — a registration as `TxnArrived` and `TxnStarted`, a
+//! request as its `LockRequested`, a finish closed by its terminal event
+//! — so a run's stream is a complete call log. Replaying that log into a
+//! fresh instance of the same simulator protocol, one call per critical
+//! section, must reproduce every event of the live run exactly: every
+//! grant, block, deadlock victim and its abort, release and inheritance
+//! the gate recorded is the protocol's own decision.
 
 use std::collections::HashMap;
 
@@ -18,22 +18,14 @@ use rtlock::protocols::{make_protocol, ReleaseReason, RequestOutcome};
 use rtlock::VictimPolicy;
 use rtlock_live::{run_live, LiveConfig, LiveProtocol};
 
-/// Events a worker records outside the gate: no protocol call.
-fn outside_gate(kind: &SimEventKind) -> bool {
-    matches!(
-        kind,
-        SimEventKind::TxnStarted { .. }
-            | SimEventKind::TxnAborted {
-                reason: AbortReason::DeadlockVictim,
-                ..
-            }
-    )
-}
-
 /// The transaction a terminal event ends.
 fn terminal(kind: &SimEventKind) -> Option<TxnId> {
     match *kind {
-        SimEventKind::TxnCommitted { txn } | SimEventKind::TxnAborted { txn, .. } => Some(txn),
+        SimEventKind::TxnCommitted { txn }
+        | SimEventKind::TxnAborted {
+            txn,
+            reason: AbortReason::DeadlineMissed,
+        } => Some(txn),
         _ => None,
     }
 }
@@ -51,6 +43,7 @@ fn assert_replays(protocol: LiveProtocol, specs: &[TxnSpec], log: &[SimEventKind
         match log[at] {
             SimEventKind::TxnArrived { txn, .. } => {
                 replayed.push(log[at]);
+                replayed.push(SimEventKind::TxnStarted { txn });
                 proto.register(specs[&txn]);
                 proto.drain_events(&mut replayed);
             }
@@ -58,6 +51,10 @@ fn assert_replays(protocol: LiveProtocol, specs: &[TxnSpec], log: &[SimEventKind
                 let outcome = proto.request(txn, object, mode).outcome;
                 proto.drain_events(&mut replayed);
                 if let RequestOutcome::Deadlock { victim } = outcome {
+                    replayed.push(SimEventKind::TxnAborted {
+                        txn: victim,
+                        reason: AbortReason::DeadlockVictim,
+                    });
                     proto.release_all(victim, ReleaseReason::Restart);
                     proto.drain_events(&mut replayed);
                 }
@@ -101,12 +98,12 @@ fn contended_live_runs_replay_into_the_simulator_protocols() {
             ..LiveConfig::new(protocol, 4)
         };
         let report = run_live(&config);
-        let log: Vec<SimEventKind> = report
-            .events
-            .iter()
-            .map(|(_, e)| e.kind)
-            .filter(|k| !outside_gate(k))
-            .collect();
+        let name = protocol.name();
+        assert!(
+            report.events.windows(2).all(|w| w[0].0 <= w[1].0),
+            "{name}: a stamp decreased"
+        );
+        let log: Vec<SimEventKind> = report.events.iter().map(|(_, e)| e.kind).collect();
         let blocks = log
             .iter()
             .filter(|k| {
@@ -116,7 +113,26 @@ fn contended_live_runs_replay_into_the_simulator_protocols() {
                 )
             })
             .count();
-        assert!(blocks > 0, "{}: the run never blocked", protocol.name());
+        assert!(blocks > 0, "{name}: the run never blocked");
+        // Every cycle found restarts exactly one victim (none under PCP).
+        let detected = log
+            .iter()
+            .filter(|k| matches!(k, SimEventKind::DeadlockDetected { .. }))
+            .count() as u64;
+        let victims = log
+            .iter()
+            .filter(|k| {
+                matches!(
+                    k,
+                    SimEventKind::TxnAborted {
+                        reason: AbortReason::DeadlockVictim,
+                        ..
+                    }
+                )
+            })
+            .count() as u64;
+        assert_eq!(detected, report.deadlocks, "{name}");
+        assert_eq!(victims, report.deadlocks, "{name}");
         assert_replays(protocol, &config.transactions(), &log);
     }
 }

@@ -9,12 +9,14 @@
 //!    counters that only write-lock exclusivity keeps exact; completion
 //!    itself witnesses the absence of lost wakeups (a dropped grant would
 //!    strand a waiter until its multi-second deadline and trip the
-//!    grant-count assertions), and a directed test pins down the race of
-//!    a timeout against a victim pick.
-//! 2. **Full runs through the oracle** — every protocol's merged event
-//!    stream replays through `CheckSink`, whose lock-compatibility check
-//!    rejects double grants and whose finish pass rejects leftover
-//!    waiters (lost wakeups) and leftover holders (leaked locks).
+//!    grant-count assertions), the gate's own event stream replays
+//!    through the oracle, and a directed test pins down the race of a
+//!    timeout against a victim pick.
+//! 2. **Full runs through the oracle** — every protocol's event stream,
+//!    as the gate appended it, replays through `CheckSink`, whose
+//!    lock-compatibility check rejects double grants and whose finish
+//!    pass rejects leftover waiters (lost wakeups) and leftover holders
+//!    (leaked locks).
 //! 3. **Store consistency** — the runner's shared store must match the
 //!    committed write sets exactly.
 //! 4. **Stamp fidelity** — one clock reading stamps a whole lock-manager
@@ -32,7 +34,7 @@ use std::time::{Duration, Instant};
 use monitor::{AbortReason, CheckConfig, CheckSink, SimEvent, SimEventKind};
 use rtdb::{LockMode, ObjectId, SiteId, TxnId, TxnSpec};
 use rtlock_live::runner::{run_live, LiveConfig, LiveProtocol};
-use rtlock_live::{Acquire, LiveGate, Recorder, ThreadLog};
+use rtlock_live::{Acquire, LiveGate};
 use starlite::{EventSink, SimTime};
 
 /// The protocols that can deadlock, and so restart victims.
@@ -68,7 +70,7 @@ fn spec(txn: TxnId, reads: &[ObjectId], writes: &[ObjectId], deadline: u64) -> T
     )
 }
 
-/// Replays a merged stream through the oracle and asserts zero
+/// Replays an event stream through the oracle and asserts zero
 /// violations.
 fn assert_events_clean(label: &str, events: &[(SimTime, SimEvent)], ceiling: bool) {
     let mut sink = CheckSink::new(CheckConfig::live(ceiling));
@@ -100,34 +102,24 @@ fn direct_gate_write_contention_has_no_double_grants() {
     const OBJECTS: u64 = 4;
     for protocol in TWO_PHASE_FAMILY {
         let gate = LiveGate::new(protocol);
-        let rec = Recorder::new();
         let cells: Vec<AtomicU64> = (0..OBJECTS).map(|_| AtomicU64::new(0)).collect();
         let granted: Vec<AtomicU64> = (0..OBJECTS).map(|_| AtomicU64::new(0)).collect();
 
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let gate = &gate;
-                let rec = &rec;
                 let cells = &cells;
                 let granted = &granted;
                 scope.spawn(move || {
-                    let mut log = ThreadLog::new();
                     let mut rng = Rng(0xA11CE + t);
                     let deadline = Instant::now() + Duration::from_secs(30);
                     for i in 0..ITERS {
                         let txn = TxnId(1 + t * ITERS + i);
                         let object = ObjectId((rng.next() % OBJECTS) as u32);
-                        gate.register(
-                            rec,
-                            &mut log,
-                            rec.now_ticks(),
-                            &spec(txn, &[], &[object], 1),
-                        );
+                        gate.register(gate.now_ticks(), &spec(txn, &[], &[object], 1));
                         let mut blocked = 0u64;
                         match gate.acquire(
-                            rec,
-                            &mut log,
-                            rec.now_ticks(),
+                            gate.now_ticks(),
                             txn,
                             object,
                             LockMode::Write,
@@ -140,7 +132,7 @@ fn direct_gate_write_contention_has_no_double_grants() {
                                 let v = cell.load(Ordering::Relaxed);
                                 std::hint::spin_loop();
                                 cell.store(v + 1, Ordering::Relaxed);
-                                gate.finish(rec, &mut log, txn, true);
+                                gate.finish(txn, true);
                             }
                             other => panic!(
                                 "{}: unexpected outcome {other:?} for {txn}",
@@ -153,6 +145,7 @@ fn direct_gate_write_contention_has_no_double_grants() {
         });
 
         gate.assert_idle();
+        assert_events_clean(protocol.name(), &gate.take_events(), false);
         for (i, (cell, g)) in cells.iter().zip(&granted).enumerate() {
             assert_eq!(
                 cell.load(Ordering::Relaxed),
@@ -176,29 +169,24 @@ fn direct_gate_upgrades_are_exclusive() {
     let object = ObjectId(0);
     for protocol in TWO_PHASE_FAMILY {
         let gate = LiveGate::new(protocol);
-        let rec = Recorder::new();
         let cell = AtomicU64::new(0);
         let commits = AtomicU64::new(0);
 
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let gate = &gate;
-                let rec = &rec;
                 let cell = &cell;
                 let commits = &commits;
                 scope.spawn(move || {
-                    let mut log = ThreadLog::new();
                     let deadline = Instant::now() + Duration::from_secs(30);
                     for i in 0..ITERS {
                         let txn = TxnId(1 + t * ITERS + i);
                         let declared = spec(txn, &[], &[object], 100 - t);
-                        gate.register(rec, &mut log, rec.now_ticks(), &declared);
+                        gate.register(gate.now_ticks(), &declared);
                         loop {
                             let mut blocked = 0u64;
                             let read = gate.acquire(
-                                rec,
-                                &mut log,
-                                rec.now_ticks(),
+                                gate.now_ticks(),
                                 txn,
                                 object,
                                 LockMode::Read,
@@ -213,9 +201,7 @@ fn direct_gate_upgrades_are_exclusive() {
                                 continue;
                             }
                             match gate.acquire(
-                                rec,
-                                &mut log,
-                                rec.now_ticks(),
+                                gate.now_ticks(),
                                 txn,
                                 object,
                                 LockMode::Write,
@@ -227,7 +213,7 @@ fn direct_gate_upgrades_are_exclusive() {
                                     std::hint::spin_loop();
                                     cell.store(v + 1, Ordering::Relaxed);
                                     commits.fetch_add(1, Ordering::Relaxed);
-                                    gate.finish(rec, &mut log, txn, true);
+                                    gate.finish(txn, true);
                                     break;
                                 }
                                 // Two upgraders deadlocked and this one was
@@ -242,6 +228,7 @@ fn direct_gate_upgrades_are_exclusive() {
         });
 
         gate.assert_idle();
+        assert_events_clean(protocol.name(), &gate.take_events(), false);
         assert_eq!(
             cell.load(Ordering::Relaxed),
             commits.load(Ordering::Relaxed),
@@ -263,27 +250,22 @@ fn deadlocks_are_detected_and_victims_released() {
     const ITERS: u64 = 50;
     for protocol in TWO_PHASE_FAMILY {
         let gate = LiveGate::new(protocol);
-        let rec = Recorder::new();
 
         std::thread::scope(|scope| {
             for t in 0..2u64 {
                 let gate = &gate;
-                let rec = &rec;
                 scope.spawn(move || {
-                    let mut log = ThreadLog::new();
                     let deadline = Instant::now() + Duration::from_secs(60);
                     let (first, second) = if t == 0 { (a, b) } else { (b, a) };
                     for i in 0..ITERS {
                         let txn = TxnId(1 + t * ITERS + i);
                         let declared = spec(txn, &[], &[first, second], 100 - t);
-                        gate.register(rec, &mut log, rec.now_ticks(), &declared);
+                        gate.register(gate.now_ticks(), &declared);
                         'txn: loop {
                             let mut blocked = 0u64;
                             for obj in [first, second] {
                                 match gate.acquire(
-                                    rec,
-                                    &mut log,
-                                    rec.now_ticks(),
+                                    gate.now_ticks(),
                                     txn,
                                     obj,
                                     LockMode::Write,
@@ -296,7 +278,7 @@ fn deadlocks_are_detected_and_victims_released() {
                                     Acquire::Timeout => panic!("timeout under 60 s deadline"),
                                 }
                             }
-                            gate.finish(rec, &mut log, txn, true);
+                            gate.finish(txn, true);
                             break 'txn;
                         }
                     }
@@ -305,6 +287,7 @@ fn deadlocks_are_detected_and_victims_released() {
         });
 
         gate.assert_idle();
+        assert_events_clean(protocol.name(), &gate.take_events(), false);
         // With opposed lock orders and 50 rounds each, at least one cycle
         // is all but certain — but the assertion that matters is
         // completion and idleness above; the count is informational.
@@ -317,72 +300,57 @@ fn timed_out_waiter_picked_as_victim_is_released_once_and_missed_once() {
     // `low` holds A and times out queued for B, which `high` holds.
     // Before `low` reaches finish, `high` asks for A and closes the
     // cycle; `low`, the lower priority, is the victim. The gate must
-    // release A once (handing it to `high`), and `low`'s own finish must
-    // release nothing again and end in exactly one deadline miss.
+    // record the victim's abort and release A once (handing it to
+    // `high`), and `low`'s own finish must release nothing again and end
+    // in exactly one deadline miss, after the victim abort.
     let (a, b) = (ObjectId(0), ObjectId(1));
     let (low, high) = (TxnId(1), TxnId(2));
     for protocol in TWO_PHASE_FAMILY {
         let gate = LiveGate::new(protocol);
-        let rec = Recorder::new();
-        let mut log = ThreadLog::new();
         let far = Instant::now() + Duration::from_secs(60);
-        let acquire = |log: &mut ThreadLog, txn, object, deadline| {
+        let acquire = |txn, object, deadline| {
             let mut blocked = 0u64;
-            let at = rec.now_ticks();
-            gate.acquire(
-                &rec,
-                log,
-                at,
-                txn,
-                object,
-                LockMode::Write,
-                deadline,
-                &mut blocked,
-            )
+            let at = gate.now_ticks();
+            gate.acquire(at, txn, object, LockMode::Write, deadline, &mut blocked)
         };
-        gate.register(
-            &rec,
-            &mut log,
-            rec.now_ticks(),
-            &spec(low, &[], &[a, b], 2_000),
-        );
-        gate.register(
-            &rec,
-            &mut log,
-            rec.now_ticks(),
-            &spec(high, &[], &[b, a], 1_000),
-        );
-        assert_eq!(acquire(&mut log, low, a, far), Acquire::Granted);
-        assert_eq!(acquire(&mut log, high, b, far), Acquire::Granted);
+        gate.register(gate.now_ticks(), &spec(low, &[], &[a, b], 2_000));
+        gate.register(gate.now_ticks(), &spec(high, &[], &[b, a], 1_000));
+        assert_eq!(acquire(low, a, far), Acquire::Granted);
+        assert_eq!(acquire(high, b, far), Acquire::Granted);
         let soon = Instant::now() + Duration::from_millis(2);
-        assert_eq!(acquire(&mut log, low, b, soon), Acquire::Timeout);
-        assert_eq!(acquire(&mut log, high, a, far), Acquire::Granted);
-        gate.finish(&rec, &mut log, low, false);
-        gate.finish(&rec, &mut log, high, true);
+        assert_eq!(acquire(low, b, soon), Acquire::Timeout);
+        assert_eq!(acquire(high, a, far), Acquire::Granted);
+        gate.finish(low, false);
+        gate.finish(high, true);
         gate.assert_idle();
         assert_eq!(gate.deadlocks(), 1, "{}", protocol.name());
 
-        let events = Recorder::merge(vec![log]);
+        let events = gate.take_events();
         assert_events_clean(protocol.name(), &events, false);
         let mut releases: HashMap<(TxnId, ObjectId), u32> = HashMap::new();
-        let (mut victims, mut misses) = (Vec::new(), 0);
+        let (mut victims, mut aborts) = (Vec::new(), Vec::new());
         for (_, event) in &events {
             match event.kind {
                 SimEventKind::LockReleased { txn, object } => {
                     *releases.entry((txn, object)).or_default() += 1;
                 }
                 SimEventKind::DeadlockDetected { victim } => victims.push(victim),
-                SimEventKind::TxnAborted {
-                    reason: AbortReason::DeadlineMissed,
-                    ..
-                } => misses += 1,
+                SimEventKind::TxnAborted { txn, reason } => aborts.push((txn, reason)),
                 _ => {}
             }
         }
         let expected = HashMap::from([((low, a), 1), ((high, a), 1), ((high, b), 1)]);
         assert_eq!(releases, expected, "{}", protocol.name());
         assert_eq!(victims, vec![low], "{}", protocol.name());
-        assert_eq!(misses, 1, "{}", protocol.name());
+        assert_eq!(
+            aborts,
+            vec![
+                (low, AbortReason::DeadlockVictim),
+                (low, AbortReason::DeadlineMissed)
+            ],
+            "{}",
+            protocol.name()
+        );
     }
 }
 

@@ -30,7 +30,7 @@
 #      million-transaction configuration stays runnable and invariant-
 #      clean on every push without full-sweep cost.
 #   5b. Live backend: a reduced `fig_live --smoke --check` pass runs all
-#      four protocols on real worker threads and replays each merged
+#      four protocols on real worker threads and replays each run's
 #      event stream through the oracle under CheckConfig::live. Smoke
 #      mode writes no artifacts, so the parity diff in (1) is untouched.
 #   5c. Temporal readers: a reduced `fig_temporal --smoke --check` pass
