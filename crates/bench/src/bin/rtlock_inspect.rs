@@ -58,13 +58,15 @@ macro_rules! out {
 }
 
 fn usage() -> &'static str {
-    "usage: rtlock-inspect <command> [flags] <trace.jsonl>\n\
-     commands:\n\
-       summary                  counts, time span, outcomes, tails\n\
-       top-blockers [--k=N]     costliest blocker->blocked edges\n\
-       txn <id>                 one transaction's event timeline\n\
-       contention --by-object [--k=N]  blocked time per object\n\
-       misses                   explain every missed deadline"
+    concat!(
+        "usage: rtlock-inspect <command> [flags] <trace.jsonl>\n",
+        "commands:\n",
+        "  summary                  counts, time span, outcomes, tails\n",
+        "  top-blockers [--k=N]     costliest blocker->blocked edges\n",
+        "  txn <id>                 one transaction's event timeline\n",
+        "  contention --by-object [--k=N]  blocked time per object\n",
+        "  misses                   explain every missed deadline",
+    )
 }
 
 /// One checked query.

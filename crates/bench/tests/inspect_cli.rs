@@ -179,6 +179,16 @@ fn usage_errors_are_single_diagnostics() {
         assert_rejected(&out, &format!("usage error {args:?}"), 2);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: "), "{args:?}: no usage\n{stderr}");
+        let (_, commands) = stderr
+            .split_once("\ncommands:\n")
+            .unwrap_or_else(|| panic!("{args:?}: no command list\n{stderr}"));
+        assert_eq!(commands.lines().count(), 5, "{args:?}\n{stderr}");
+        for line in commands.lines() {
+            assert!(
+                line.starts_with("  ") && !line.starts_with("   "),
+                "{args:?}: command line not indented by two spaces: {line:?}"
+            );
+        }
     }
     // A well-formed query the trace cannot answer is not a usage error.
     let out = run(&["txn", "T99"], trace);

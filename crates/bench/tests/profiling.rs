@@ -1,11 +1,13 @@
 //! Accounting closure of the profiling sinks.
 //!
 //! The contention profiler, the windowed-telemetry sink and the metrics
-//! sink all consume the same event stream under the same blocking-episode
-//! rules (open at the first `LockBlocked`/`CeilingBlocked`, close at
-//! `LockGranted`/`LockUpgraded`/`TxnAborted`, drop still-open episodes).
-//! These tests run real simulations — proptest-driven single-site sweeps
-//! plus fixed-seed distributed and faulted configurations — buffer the
+//! sink all consume the same event stream under the one blocking-episode
+//! rule of `monitor::EpisodeEdge` (open at the first
+//! `LockBlocked`/`CeilingBlocked`/`RangeLatchBlocked`, close at
+//! `LockGranted`/`LockUpgraded`/`RangeLatchAcquired`/`TxnAborted`, drop
+//! still-open episodes). These tests run real simulations —
+//! proptest-driven single-site sweeps, a latch-scan run, and fixed-seed
+//! distributed and faulted configurations — buffer the
 //! stream once, replay it into every sink, and assert the totals close
 //! *exactly*: window sums equal run aggregates, per-object and per-band
 //! blocked time sums equal the blocking histogram total, and the JSONL
@@ -19,11 +21,11 @@ use netsim::{CrashWindow, FaultPlan, LinkFaults};
 use proptest::prelude::*;
 use rtdb::SiteId;
 use rtlock::distributed::CeilingArchitecture;
-use rtlock::ProtocolKind;
+use rtlock::{MvccConfig, ProtocolKind};
 use rtlock_bench::harness::{
     execute_with, DistributedSpec, RunMetrics, RunSpec, SimSpec, SingleSiteSpec,
 };
-use starlite::{EventSink, SimTime, VecSink};
+use starlite::{EventSink, SimDuration, SimTime, VecSink};
 
 fn run_buffered(spec: &RunSpec) -> (Vec<(SimTime, SimEvent)>, RunMetrics) {
     let mut sink = VecSink::new();
@@ -157,6 +159,35 @@ proptest! {
         prop_assert!(!events.is_empty());
         assert_closure(&events, &run, window_ticks);
     }
+}
+
+/// Scan readers under range latches beside priority ceiling writers, the
+/// shape of `fig_temporal`'s latch arm at its top arrival rate: latch
+/// waits are blocking episodes too, in every sink.
+#[test]
+fn latch_scan_run_closes_exactly() {
+    let figure = SingleSiteSpec::figure(ProtocolKind::PriorityCeiling, 8, 200);
+    let interarrival = (figure.interarrival.ticks() as f64 / 1.2).round() as u64;
+    let spec = RunSpec {
+        label: "closure/latch-scan".into(),
+        seed: 0,
+        sim: SimSpec::SingleSite(SingleSiteSpec {
+            read_only_fraction: 0.5,
+            scan_readers: true,
+            interarrival: SimDuration::from_ticks(interarrival),
+            db_size: 50,
+            mvcc: Some(MvccConfig::latch_scan(4)),
+            ..figure
+        }),
+    };
+    let (events, run) = run_buffered(&spec);
+    assert!(
+        events
+            .iter()
+            .any(|(_, ev)| matches!(ev.kind, SimEventKind::RangeLatchBlocked { .. })),
+        "the run must wait on range latches"
+    );
+    assert_closure(&events, &run, 100_000);
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | `L` | Two-phase locking, no priority mode | [`protocols::tpl`] |
 //! | `P` | Two-phase locking with priority mode | [`protocols::tpl`] |
-//! | — | 2PL + basic priority inheritance (Sha 87 baseline) | [`protocols::inherit`] |
+//! | — | 2PL + basic priority inheritance (Sha 87 baseline) | [`protocols::tpl`] |
 //! | `C` | **Priority ceiling protocol** (read/write semantics) | [`protocols::ceiling`] |
 //! | — | Priority ceiling with exclusive-only semantics (§5 ablation) | [`protocols::ceiling`] |
 //!

@@ -225,21 +225,6 @@ impl PriorityCeilingProtocol {
         self.active.contains_key(&txn)
     }
 
-    /// Number of objects currently locked.
-    pub fn locked_object_count(&self) -> usize {
-        self.locked.len()
-    }
-
-    /// Number of requests currently blocked.
-    pub fn blocked_count(&self) -> usize {
-        self.blocked.len()
-    }
-
-    /// Number of registered (active) transactions.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
     /// The rw-priority ceiling of `obj` under the given lock mode.
     fn rw_ceiling(&self, obj: ObjectId, locked_mode: LockMode) -> Priority {
         match (self.semantics, locked_mode) {

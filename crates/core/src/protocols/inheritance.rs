@@ -1,11 +1,11 @@
 //! Shared priority-inheritance computation.
 //!
-//! Both the basic inheritance protocol and the priority ceiling protocol
-//! execute a blocking transaction "at the highest priority of all the
-//! transactions blocked by" it, transitively. This module computes the
-//! effective-priority fixpoint from the *blocked-by* relation and diffs it
-//! against the previous assignment so callers emit only actual changes.
-//! The inheritance protocol recomputes with it; the ceiling protocol,
+//! Both 2PL with basic priority inheritance ("PI") and the priority
+//! ceiling protocol execute a blocking transaction "at the highest
+//! priority of all the transactions blocked by" it, transitively. This
+//! module computes the effective-priority fixpoint from the *blocked-by*
+//! relation and diffs it against the previous assignment so callers emit
+//! only actual changes. "PI" recomputes with it; the ceiling protocol,
 //! whose chains have depth one, updates incrementally and checks itself
 //! against the fixpoint in its consistency hook.
 

@@ -6,9 +6,14 @@
 //! are substituted without touching the rest of the system: the simulators
 //! in [`crate::single_site`] and [`crate::distributed`] are
 //! protocol-agnostic.
+//!
+//! The two-phase-locking family — the paper's `L` and `P` and the `PI`
+//! inheritance baseline — is one state machine,
+//! [`TwoPhaseLockingProtocol`]; its constructor picks the queue
+//! discipline and whether priority inheritance runs. The ceiling
+//! protocol and timestamp ordering each have their own.
 
 pub mod ceiling;
-pub mod inherit;
 mod inheritance;
 pub mod timestamp;
 pub mod tpl;
@@ -22,7 +27,6 @@ use starlite::Priority;
 use crate::config::{ProtocolKind, VictimPolicy};
 
 pub use ceiling::PriorityCeilingProtocol;
-pub use inherit::InheritanceProtocol;
 pub use timestamp::TimestampOrderingProtocol;
 pub use tpl::TwoPhaseLockingProtocol;
 
@@ -194,7 +198,9 @@ pub fn make_protocol(
         ProtocolKind::TwoPhaseLockingPriority => {
             Box::new(TwoPhaseLockingProtocol::with_priority(victim_policy))
         }
-        ProtocolKind::PriorityInheritance => Box::new(InheritanceProtocol::new(victim_policy)),
+        ProtocolKind::PriorityInheritance => {
+            Box::new(TwoPhaseLockingProtocol::with_inheritance(victim_policy))
+        }
         ProtocolKind::PriorityCeiling => Box::new(PriorityCeilingProtocol::read_write()),
         ProtocolKind::PriorityCeilingExclusive => Box::new(PriorityCeilingProtocol::exclusive()),
         ProtocolKind::TimestampOrdering => Box::new(TimestampOrderingProtocol::new()),

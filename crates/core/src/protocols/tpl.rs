@@ -1,14 +1,21 @@
-//! Two-phase locking, with and without priority mode.
-//!
-//! The paper's baselines:
+//! Two-phase locking: the paper's `L` and `P` baselines and the `PI`
+//! inheritance baseline, as one state machine.
 //!
 //! * **`L` — 2PL without priority**: FIFO wait queues; paired with FCFS
 //!   processing by the simulator.
 //! * **`P` — 2PL with priority**: wait queues served most-urgent-first;
 //!   paired with preemptive priority processing.
+//! * **`PI` — `P` plus basic priority inheritance**: the \[Sha87\]
+//!   baseline the paper discusses in §3.1. When a transaction blocks a
+//!   higher-priority transaction, it executes at the highest priority of
+//!   all the transactions it blocks (transitively), and requests queue at
+//!   that effective priority. Inheritance shortens individual inversions
+//!   but does *not* prevent chained blocking or deadlock — both weaknesses
+//!   the priority ceiling protocol was designed to remove, and both
+//!   observable here (see the ablation benches).
 //!
-//! Both can deadlock. A waits-for graph is maintained continuously; the
-//! request that closes a cycle reports a victim chosen by the
+//! All three can deadlock. A waits-for graph is maintained continuously;
+//! the request that closes a cycle reports a victim chosen by the
 //! [`VictimPolicy`], which the transaction manager aborts and (optionally)
 //! restarts. Restarts waste all work done — the mechanism behind the sharp
 //! deadline-miss growth the paper observes for large transactions
@@ -23,20 +30,24 @@ use rtdb::{
 use starlite::{FxHashMap, Priority};
 
 use crate::config::VictimPolicy;
+use crate::protocols::inheritance::{diff_updates, effective_priorities_into};
 use crate::protocols::{
     LockProtocol, ReleaseReason, ReleaseResult, RequestOutcome, RequestResult, Wakeup,
 };
 
-/// Two-phase locking ("L" or "P" depending on the queue discipline).
+/// Two-phase locking: "L", "P" or "PI" depending on the constructor.
 pub struct TwoPhaseLockingProtocol {
+    name: &'static str,
     table: LockTable,
     wfg: WaitsForGraph,
     victim_policy: VictimPolicy,
     base: FxHashMap<TxnId, Priority>,
-    priority_mode: bool,
+    /// `Some` only for "PI".
+    inheritance: Option<Inheritance>,
     deadlocks: u64,
-    /// Scratch buffers for [`Self::refresh_wfg`], reused across calls so
-    /// the per-release graph rebuild stops allocating once warm.
+    /// Scratch buffers for [`Self::refresh_wfg`] and [`Self::inherit`],
+    /// reused across calls so the per-release rebuilds stop allocating
+    /// once warm.
     scratch_waiters: Vec<TxnId>,
     scratch_blockers: Vec<TxnId>,
     trace: bool,
@@ -46,10 +57,23 @@ pub struct TwoPhaseLockingProtocol {
     journal: Vec<SimEventKind>,
 }
 
+/// Basic priority inheritance state.
+#[derive(Default)]
+struct Inheritance {
+    /// Every registered transaction's effective priority: the fixpoint
+    /// over `base` and the blocked-by relation as of the last block or
+    /// release.
+    effective: FxHashMap<TxnId, Priority>,
+    /// Scratch maps for the fixpoint, reused across calls: the blocked-by
+    /// relation and the new assignment.
+    scratch_edges: FxHashMap<TxnId, Vec<TxnId>>,
+    scratch_eff: FxHashMap<TxnId, Priority>,
+}
+
 impl fmt::Debug for TwoPhaseLockingProtocol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TwoPhaseLockingProtocol")
-            .field("priority_mode", &self.priority_mode)
+            .field("name", &self.name)
             .field("active", &self.base.len())
             .field("deadlocks", &self.deadlocks)
             .finish()
@@ -59,28 +83,37 @@ impl fmt::Debug for TwoPhaseLockingProtocol {
 impl TwoPhaseLockingProtocol {
     /// The paper's "L": FIFO queues, no priority awareness.
     pub fn without_priority(victim_policy: VictimPolicy) -> Self {
-        TwoPhaseLockingProtocol {
-            table: LockTable::new(QueuePolicy::Fifo),
-            wfg: WaitsForGraph::new(),
-            victim_policy,
-            base: FxHashMap::default(),
-            priority_mode: false,
-            deadlocks: 0,
-            scratch_waiters: Vec::new(),
-            scratch_blockers: Vec::new(),
-            trace: false,
-            journal: Vec::new(),
-        }
+        Self::new("2pl", QueuePolicy::Fifo, false, victim_policy)
     }
 
     /// The paper's "P": priority queues.
     pub fn with_priority(victim_policy: VictimPolicy) -> Self {
+        Self::new("2pl-priority", QueuePolicy::Priority, false, victim_policy)
+    }
+
+    /// "PI": priority queues plus basic (transitive) priority inheritance.
+    pub fn with_inheritance(victim_policy: VictimPolicy) -> Self {
+        Self::new(
+            "2pl-inheritance",
+            QueuePolicy::Priority,
+            true,
+            victim_policy,
+        )
+    }
+
+    fn new(
+        name: &'static str,
+        queue: QueuePolicy,
+        inherit: bool,
+        victim_policy: VictimPolicy,
+    ) -> Self {
         TwoPhaseLockingProtocol {
-            table: LockTable::new(QueuePolicy::Priority),
+            name,
+            table: LockTable::new(queue),
             wfg: WaitsForGraph::new(),
             victim_policy,
             base: FxHashMap::default(),
-            priority_mode: true,
+            inheritance: inherit.then(Inheritance::default),
             deadlocks: 0,
             scratch_waiters: Vec::new(),
             scratch_blockers: Vec::new(),
@@ -89,21 +122,12 @@ impl TwoPhaseLockingProtocol {
         }
     }
 
-    /// Shared access to the underlying lock table (for statistics).
-    pub fn lock_table(&self) -> &LockTable {
-        &self.table
-    }
-
-    fn select_victim(&self, cycle: &[TxnId]) -> TxnId {
-        select_victim(cycle, self.victim_policy, &self.base)
-    }
-
-    /// Journals a protocol event behind every table event recorded before
-    /// it, so draining keeps call order.
-    fn journal(&mut self, event: SimEventKind) {
+    /// Journals protocol events behind every table event recorded before
+    /// them, so draining keeps call order.
+    fn journal(&mut self, events: impl IntoIterator<Item = SimEventKind>) {
         self.journal
             .extend(self.table.drain_journal().map(SimEventKind::from));
-        self.journal.push(event);
+        self.journal.extend(events);
     }
 
     /// Rebuilds waits-for edges for every still-waiting transaction; the
@@ -116,6 +140,54 @@ impl TwoPhaseLockingProtocol {
             self.wfg.set_edges(t, &self.scratch_blockers);
         }
     }
+
+    /// The inheritance step, run after every block and release: recomputes
+    /// the effective-priority fixpoint, requeues waiters at their new
+    /// priority so queue positions follow inherited urgency, journals each
+    /// change and returns the changes. Without inheritance it returns an
+    /// empty `Vec` and allocates nothing.
+    fn inherit(&mut self) -> Vec<(TxnId, Priority)> {
+        let Some(mut inh) = self.inheritance.take() else {
+            return Vec::new();
+        };
+        inh.scratch_edges.clear();
+        self.table.waiters_into(&mut self.scratch_waiters);
+        for &t in &self.scratch_waiters {
+            inh.scratch_edges.insert(t, self.table.current_blockers(t));
+        }
+        // Empty unless the fixpoint sees an unregistered waiter, so this
+        // never allocates on the hot path.
+        let mut anomalies: Vec<TxnId> = Vec::new();
+        effective_priorities_into(
+            &self.base,
+            &inh.scratch_edges,
+            &mut anomalies,
+            &mut inh.scratch_eff,
+        );
+        if self.trace && !anomalies.is_empty() {
+            self.journal(
+                anomalies
+                    .into_iter()
+                    .map(|txn| SimEventKind::ProtocolAnomaly {
+                        txn: Some(txn),
+                        detail: "waiter in blocked_by but not registered",
+                    }),
+            );
+        }
+        let updates = diff_updates(&mut inh.effective, &mut inh.scratch_eff);
+        self.inheritance = Some(inh);
+        for &(txn, priority) in &updates {
+            self.table.update_waiter_priority(txn, priority);
+        }
+        if self.trace && !updates.is_empty() {
+            self.journal(
+                updates
+                    .iter()
+                    .map(|&(txn, priority)| SimEventKind::PriorityInherited { txn, priority }),
+            );
+        }
+        updates
+    }
 }
 
 /// Picks a deadlock victim from a cycle.
@@ -123,7 +195,7 @@ impl TwoPhaseLockingProtocol {
 /// With [`VictimPolicy::LowestPriority`], ties break towards the youngest
 /// (largest id). Unknown transactions (not in `base`) are treated as
 /// lowest priority.
-pub(crate) fn select_victim(
+fn select_victim(
     cycle: &[TxnId],
     policy: VictimPolicy,
     base: &FxHashMap<TxnId, Priority>,
@@ -144,14 +216,30 @@ pub(crate) fn select_victim(
     }
 }
 
+/// `txn`'s entry in a priority map.
+///
+/// # Panics
+///
+/// Panics if `txn` is not registered.
+fn registered(priorities: &FxHashMap<TxnId, Priority>, txn: TxnId) -> Priority {
+    priorities
+        .get(&txn)
+        .copied()
+        .unwrap_or_else(|| panic!("{txn} not registered"))
+}
+
 impl LockProtocol for TwoPhaseLockingProtocol {
     fn register(&mut self, spec: &TxnSpec) {
-        let prev = self.base.insert(spec.id, spec.base_priority());
+        let p = spec.base_priority();
+        let prev = self.base.insert(spec.id, p);
         assert!(prev.is_none(), "{} registered twice", spec.id);
+        if let Some(inh) = &mut self.inheritance {
+            inh.effective.insert(spec.id, p);
+        }
     }
 
     fn request(&mut self, txn: TxnId, object: ObjectId, mode: LockMode) -> RequestResult {
-        let priority = self.base_priority(txn);
+        let priority = self.effective_priority(txn);
         let outcome = self.table.request(txn, object, mode, priority);
         match outcome {
             LockOutcome::Granted => RequestResult::granted(),
@@ -159,9 +247,9 @@ impl LockProtocol for TwoPhaseLockingProtocol {
                 self.wfg.set_edges(txn, &blockers);
                 if let Some(cycle) = self.wfg.cycle_from(txn) {
                     self.deadlocks += 1;
-                    let victim = self.select_victim(&cycle);
+                    let victim = select_victim(&cycle, self.victim_policy, &self.base);
                     if self.trace {
-                        self.journal(SimEventKind::DeadlockDetected { victim });
+                        self.journal([SimEventKind::DeadlockDetected { victim }]);
                     }
                     return RequestResult {
                         outcome: RequestOutcome::Deadlock { victim },
@@ -177,7 +265,7 @@ impl LockProtocol for TwoPhaseLockingProtocol {
                     .min_by_key(|t| self.base.get(t).copied().unwrap_or(Priority::MIN));
                 RequestResult {
                     outcome: RequestOutcome::Blocked { blocker },
-                    priority_updates: Vec::new(),
+                    priority_updates: self.inherit(),
                 }
             }
         }
@@ -199,24 +287,25 @@ impl LockProtocol for TwoPhaseLockingProtocol {
         }
         self.refresh_wfg();
         if reason == ReleaseReason::Finished {
+            // The inheritance step rebuilds `effective` from `base`.
             self.base.remove(&txn);
         }
         ReleaseResult {
             wakeups,
-            priority_updates: Vec::new(),
+            priority_updates: self.inherit(),
         }
     }
 
     fn effective_priority(&self, txn: TxnId) -> Priority {
-        // Plain 2PL performs no inheritance.
-        self.base_priority(txn)
+        let priorities = self
+            .inheritance
+            .as_ref()
+            .map_or(&self.base, |i| &i.effective);
+        registered(priorities, txn)
     }
 
     fn base_priority(&self, txn: TxnId) -> Priority {
-        self.base
-            .get(&txn)
-            .copied()
-            .unwrap_or_else(|| panic!("{txn} not registered"))
+        registered(&self.base, txn)
     }
 
     fn is_blocked(&self, txn: TxnId) -> bool {
@@ -224,11 +313,7 @@ impl LockProtocol for TwoPhaseLockingProtocol {
     }
 
     fn name(&self) -> &'static str {
-        if self.priority_mode {
-            "2pl-priority"
-        } else {
-            "2pl"
-        }
+        self.name
     }
 
     fn deadlock_count(&self) -> u64 {
@@ -237,12 +322,19 @@ impl LockProtocol for TwoPhaseLockingProtocol {
 
     fn assert_consistent(&self) {
         self.table.check_invariants();
+        if let Some(inh) = &self.inheritance {
+            for (&t, &e) in &inh.effective {
+                let b = self.base.get(&t).copied().expect("effective without base");
+                assert!(e >= b, "{t} effective priority below base");
+            }
+        }
     }
 
     fn assert_idle(&self) {
         self.table.assert_idle();
+        let effective = self.inheritance.as_ref().map_or(0, |i| i.effective.len());
         assert!(
-            self.base.is_empty(),
+            self.base.is_empty() && effective == 0,
             "{} transactions still registered",
             self.base.len()
         );
@@ -382,6 +474,8 @@ mod tests {
         let p = TwoPhaseLockingProtocol::without_priority(VictimPolicy::Youngest);
         assert_eq!(p.name(), "2pl");
         assert_eq!(protocol().name(), "2pl-priority");
+        let p = TwoPhaseLockingProtocol::with_inheritance(VictimPolicy::Youngest);
+        assert_eq!(p.name(), "2pl-inheritance");
     }
 
     #[test]
@@ -389,5 +483,77 @@ mod tests {
     fn unknown_txn_panics() {
         let p = protocol();
         p.base_priority(TxnId(9));
+    }
+
+    /// "PI": the same state machine with inheritance on.
+    mod inheritance {
+        use super::*;
+
+        fn spec(id: u64, deadline: u64, writes: Vec<u32>) -> TxnSpec {
+            super::spec(id, deadline, vec![], writes)
+        }
+
+        #[test]
+        fn blocker_inherits_waiter_priority() {
+            let mut p = TwoPhaseLockingProtocol::with_inheritance(VictimPolicy::LowestPriority);
+            p.register(&spec(1, 1_000, vec![0])); // low priority (late deadline)
+            p.register(&spec(2, 100, vec![0])); // high priority
+            assert_eq!(
+                p.request(TxnId(1), ObjectId(0), LockMode::Write).outcome,
+                RequestOutcome::Granted
+            );
+            let res = p.request(TxnId(2), ObjectId(0), LockMode::Write);
+            assert!(
+                matches!(res.outcome, RequestOutcome::Blocked { blocker: Some(t) } if t == TxnId(1))
+            );
+            // T1 inherited T2's priority.
+            let boosted: Vec<TxnId> = res.priority_updates.iter().map(|&(t, _)| t).collect();
+            assert_eq!(boosted, vec![TxnId(1)]);
+            assert_eq!(p.effective_priority(TxnId(1)), p.base_priority(TxnId(2)));
+            p.assert_consistent();
+        }
+
+        #[test]
+        fn inheritance_is_transitive() {
+            let mut p = TwoPhaseLockingProtocol::with_inheritance(VictimPolicy::LowestPriority);
+            p.register(&spec(1, 3_000, vec![0]));
+            p.register(&spec(2, 2_000, vec![0, 1]));
+            p.register(&spec(3, 100, vec![1]));
+            p.request(TxnId(1), ObjectId(0), LockMode::Write); // T1 holds O0
+            p.request(TxnId(2), ObjectId(1), LockMode::Write); // T2 holds O1
+            p.request(TxnId(2), ObjectId(0), LockMode::Write); // T2 waits on T1
+            let res = p.request(TxnId(3), ObjectId(1), LockMode::Write); // T3 waits on T2
+            assert!(matches!(res.outcome, RequestOutcome::Blocked { .. }));
+            // T3's priority flows through T2 to T1.
+            assert_eq!(p.effective_priority(TxnId(1)), p.base_priority(TxnId(3)));
+            assert_eq!(p.effective_priority(TxnId(2)), p.base_priority(TxnId(3)));
+        }
+
+        #[test]
+        fn inheritance_revoked_on_release() {
+            let mut p = TwoPhaseLockingProtocol::with_inheritance(VictimPolicy::LowestPriority);
+            p.register(&spec(1, 1_000, vec![0]));
+            p.register(&spec(2, 100, vec![0]));
+            p.request(TxnId(1), ObjectId(0), LockMode::Write);
+            p.request(TxnId(2), ObjectId(0), LockMode::Write);
+            let rel = p.release_all(TxnId(1), ReleaseReason::Finished);
+            assert_eq!(rel.wakeups.len(), 1);
+            // T1 is gone; only T2 remains, at its own priority.
+            assert_eq!(p.effective_priority(TxnId(2)), p.base_priority(TxnId(2)));
+        }
+
+        #[test]
+        fn deadlock_still_detected() {
+            let mut p = TwoPhaseLockingProtocol::with_inheritance(VictimPolicy::LowestPriority);
+            p.register(&spec(1, 100, vec![0, 1]));
+            p.register(&spec(2, 500, vec![0, 1]));
+            p.request(TxnId(1), ObjectId(0), LockMode::Write);
+            p.request(TxnId(2), ObjectId(1), LockMode::Write);
+            p.request(TxnId(1), ObjectId(1), LockMode::Write);
+            match p.request(TxnId(2), ObjectId(0), LockMode::Write).outcome {
+                RequestOutcome::Deadlock { victim } => assert_eq!(victim, TxnId(2)),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 }

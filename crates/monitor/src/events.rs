@@ -304,6 +304,57 @@ pub enum SimEventKind {
     },
 }
 
+/// What a blocking episode waited on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Via {
+    /// A lock conflict (`LockBlocked`).
+    Lock,
+    /// The ceiling test (`CeilingBlocked`).
+    Ceiling,
+    /// A range latch (`RangeLatchBlocked`).
+    Latch,
+}
+
+impl fmt::Display for Via {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Via::Lock => "lock",
+            Via::Ceiling => "ceiling",
+            Via::Latch => "latch",
+        })
+    }
+}
+
+/// The bound an event puts on its transaction's blocking episode.
+///
+/// This is the one episode rule of every sink that measures blocked time
+/// ([`MetricsSink`], [`crate::ContentionProfiler`],
+/// [`crate::TimeSeriesSink`]), so their totals close exactly. An episode
+/// opens at the transaction's first `LockBlocked`, `CeilingBlocked` or
+/// `RangeLatchBlocked` (a re-block while one is open changes nothing)
+/// and closes at its next `LockGranted`, `LockUpgraded`,
+/// `RangeLatchAcquired` or `TxnAborted`. An episode still open when the
+/// stream ends is dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EpisodeEdge {
+    /// `txn` blocked on `object` (a range latch's first object).
+    Open {
+        /// The blocked transaction.
+        txn: TxnId,
+        /// The object waited for.
+        object: ObjectId,
+        /// The representative blocker the event names, if any.
+        blocker: Option<TxnId>,
+        /// What the transaction waited on.
+        via: Via,
+    },
+    /// `txn` got what it waited for, or aborted.
+    Close {
+        /// The transaction whose episode ends.
+        txn: TxnId,
+    },
+}
+
 /// Number of distinct [`SimEventKind`] variants ([`SimEventKind::index`]
 /// stays below this).
 pub const EVENT_KIND_COUNT: usize = 35;
@@ -429,6 +480,38 @@ impl SimEventKind {
             | SimEventKind::SiteRecovered
             | SimEventKind::ReplicaRepaired { .. }
             | SimEventKind::VersionGced { .. } => None,
+        }
+    }
+
+    /// The blocking-episode bound this event marks, if any (see
+    /// [`EpisodeEdge`]).
+    pub fn episode_edge(&self) -> Option<EpisodeEdge> {
+        let open = |txn, object, blocker, via| EpisodeEdge::Open {
+            txn,
+            object,
+            blocker,
+            via,
+        };
+        match *self {
+            SimEventKind::LockBlocked {
+                txn,
+                object,
+                blocker,
+                ..
+            } => Some(open(txn, object, blocker, Via::Lock)),
+            SimEventKind::CeilingBlocked {
+                txn,
+                object,
+                blocker,
+            } => Some(open(txn, object, blocker, Via::Ceiling)),
+            SimEventKind::RangeLatchBlocked {
+                txn, lo, blocker, ..
+            } => Some(open(txn, lo, blocker, Via::Latch)),
+            SimEventKind::LockGranted { txn, .. }
+            | SimEventKind::LockUpgraded { txn, .. }
+            | SimEventKind::RangeLatchAcquired { txn, .. }
+            | SimEventKind::TxnAborted { txn, .. } => Some(EpisodeEdge::Close { txn }),
+            _ => None,
         }
     }
 }
@@ -640,10 +723,9 @@ impl fmt::Display for SimEvent {
 /// Counting sink: per-kind event counters plus blocking-episode and
 /// response-time histograms.
 ///
-/// A blocking episode opens at `LockBlocked`/`CeilingBlocked` and closes
-/// at the next `LockGranted`/`LockUpgraded` (or abort) of the same
-/// transaction; its duration lands in [`MetricsSink::blocking`]. Response
-/// times (`TxnArrived` → `TxnCommitted`) land in [`MetricsSink::response`].
+/// Each blocking episode (see [`EpisodeEdge`]) lands its duration in
+/// [`MetricsSink::blocking`]. Response times (`TxnArrived` →
+/// `TxnCommitted`) land in [`MetricsSink::response`].
 #[derive(Debug, Clone)]
 pub struct MetricsSink {
     counts: [u64; EVENT_KIND_COUNT],
@@ -716,20 +798,18 @@ impl EventSink<SimEvent> for MetricsSink {
                     self.response.record(at.saturating_since(start).ticks());
                 }
             }
-            SimEventKind::LockBlocked { txn, .. }
-            | SimEventKind::CeilingBlocked { txn, .. }
-            | SimEventKind::RangeLatchBlocked { txn, .. } => {
+            _ => {}
+        }
+        match event.kind.episode_edge() {
+            Some(EpisodeEdge::Open { txn, .. }) => {
                 self.blocked_since.entry(txn).or_insert(at);
             }
-            SimEventKind::LockGranted { txn, .. }
-            | SimEventKind::LockUpgraded { txn, .. }
-            | SimEventKind::RangeLatchAcquired { txn, .. }
-            | SimEventKind::TxnAborted { txn, .. } => {
+            Some(EpisodeEdge::Close { txn }) => {
                 if let Some(since) = self.blocked_since.remove(&txn) {
                     self.blocking.record(at.saturating_since(since).ticks());
                 }
             }
-            _ => {}
+            None => {}
         }
     }
 }

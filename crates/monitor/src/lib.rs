@@ -50,7 +50,8 @@ pub use aggregate::{RunStats, StatsFold};
 pub use check::{CheckConfig, CheckSink, Violation};
 pub use ci::Summary;
 pub use events::{
-    AbortReason, ChromeTraceSink, MetricsSink, SimEvent, SimEventKind, EVENT_KIND_COUNT,
+    AbortReason, ChromeTraceSink, EpisodeEdge, MetricsSink, SimEvent, SimEventKind, Via,
+    EVENT_KIND_COUNT,
 };
 pub use hist::Histogram;
 pub use jsonl::{read_jsonl, JsonlSink};

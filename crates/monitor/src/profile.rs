@@ -2,13 +2,14 @@
 //!
 //! The paper's figures reduce every protocol comparison to blocked time;
 //! [`ContentionProfiler`] is the sink that attributes it. It watches the
-//! same blocking episodes [`crate::MetricsSink`] measures — an episode
-//! opens at the first `LockBlocked`/`CeilingBlocked`/`RangeLatchBlocked`
-//! of a transaction and closes at its next `LockGranted`/`LockUpgraded`/
-//! `RangeLatchAcquired`/`TxnAborted` — and charges each closed episode to
-//! the object (a range-latch wait is charged to the range's first
-//! object), blocker edge, and priority band involved. The identical open/close rule is load-bearing:
-//! the per-object blocked-time total sums *exactly* to
+//! same blocking episodes [`crate::MetricsSink`] measures, under the one
+//! rule of [`crate::EpisodeEdge`] — an episode opens at the first
+//! `LockBlocked`/`CeilingBlocked`/`RangeLatchBlocked` of a transaction and
+//! closes at its next `LockGranted`/`LockUpgraded`/`RangeLatchAcquired`/
+//! `TxnAborted` — and charges each closed episode to the object (a
+//! range-latch wait is charged to the range's first object), blocker
+//! edge, and priority band involved. The identical open/close rule is
+//! load-bearing: the per-object blocked-time total sums *exactly* to
 //! `MetricsSink::blocking().total()` (asserted by `tests/profiling.rs`),
 //! so the profile is a lossless decomposition of the aggregate, not a
 //! second approximate measurement.
@@ -19,12 +20,10 @@
 //! which under fault-plan jitter is an approximation since deliveries
 //! may reorder — and per-site RPC retry counts.
 
-use std::fmt;
-
 use rtdb::{ObjectId, SiteId, TxnId};
 use starlite::{EventSink, FxHashMap, Priority, SimTime};
 
-use crate::events::{SimEvent, SimEventKind};
+use crate::events::{EpisodeEdge, SimEvent, SimEventKind, Via};
 use crate::hist::Histogram;
 
 /// Priority bands: transactions are split into tertiles of the observed
@@ -33,27 +32,6 @@ pub const BAND_COUNT: usize = 3;
 
 /// Band display names, most urgent first: `bands[0]` is the top tertile.
 pub const BAND_NAMES: [&str; BAND_COUNT] = ["high", "mid", "low"];
-
-/// What a blocking episode waited on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Via {
-    /// A lock conflict (`LockBlocked`).
-    Lock,
-    /// The ceiling test (`CeilingBlocked`).
-    Ceiling,
-    /// A range latch (`RangeLatchBlocked`).
-    Latch,
-}
-
-impl fmt::Display for Via {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Via::Lock => "lock",
-            Via::Ceiling => "ceiling",
-            Via::Latch => "latch",
-        })
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 struct OpenEpisode {
@@ -438,28 +416,20 @@ impl ContentionProfiler {
 
 impl EventSink<SimEvent> for ContentionProfiler {
     fn emit(&mut self, at: SimTime, event: SimEvent) {
+        match event.kind.episode_edge() {
+            Some(EpisodeEdge::Open {
+                txn,
+                object,
+                blocker,
+                via,
+            }) => self.open_episode(at, txn, object, blocker, via),
+            Some(EpisodeEdge::Close { txn }) => self.close_episode(at, txn),
+            None => {}
+        }
         match event.kind {
             SimEventKind::TxnArrived { txn, priority } => {
                 self.priorities.insert(txn, priority);
             }
-            SimEventKind::LockBlocked {
-                txn,
-                object,
-                blocker,
-                ..
-            } => self.open_episode(at, txn, object, blocker, Via::Lock),
-            SimEventKind::CeilingBlocked {
-                txn,
-                object,
-                blocker,
-            } => self.open_episode(at, txn, object, blocker, Via::Ceiling),
-            SimEventKind::RangeLatchBlocked {
-                txn, lo, blocker, ..
-            } => self.open_episode(at, txn, lo, blocker, Via::Latch),
-            SimEventKind::LockGranted { txn, .. }
-            | SimEventKind::LockUpgraded { txn, .. }
-            | SimEventKind::RangeLatchAcquired { txn, .. }
-            | SimEventKind::TxnAborted { txn, .. } => self.close_episode(at, txn),
             SimEventKind::MsgSent { from, to } => {
                 let link = self.links.entry((from, to)).or_default();
                 if link.pending_cancels > 0 {

@@ -9,10 +9,11 @@
 //! windows they span, so window totals sum to the run aggregates —
 //! `tests/profiling.rs` asserts the closure against [`crate::MetricsSink`].
 //!
-//! Blocking episodes follow the `MetricsSink` rule (open at the first
-//! `LockBlocked`/`CeilingBlocked`, close at
-//! `LockGranted`/`LockUpgraded`/`TxnAborted`); episodes still open at the
-//! end of the stream are dropped, matching the aggregate histogram. CPU
+//! Blocking episodes follow the one rule of [`crate::events::EpisodeEdge`]
+//! (open at the first `LockBlocked`/`CeilingBlocked`/`RangeLatchBlocked`,
+//! close at `LockGranted`/`LockUpgraded`/`RangeLatchAcquired`/
+//! `TxnAborted`); episodes still open at the end of the stream are
+//! dropped, matching the aggregate histogram. CPU
 //! busy time is an *occupancy upper bound*: a burst is counted from its
 //! `Dispatched` until the transaction's `Preempted`/terminal event or the
 //! site's next `Dispatched`, because burst completion itself emits no
@@ -23,7 +24,7 @@
 use rtdb::{SiteId, TxnId};
 use starlite::{EventSink, FxHashMap, SimTime};
 
-use crate::events::{AbortReason, SimEvent, SimEventKind};
+use crate::events::{AbortReason, EpisodeEdge, SimEvent, SimEventKind};
 
 /// Default window width, in simulated ticks. At the paper's workloads
 /// (CPU burst 1000 ticks/object) this is roughly the service time of a
@@ -230,13 +231,19 @@ impl Default for TimeSeriesSink {
 impl EventSink<SimEvent> for TimeSeriesSink {
     fn emit(&mut self, at: SimTime, event: SimEvent) {
         self.window_at(at).events += 1;
+        match event.kind.episode_edge() {
+            Some(EpisodeEdge::Open { txn, .. }) => {
+                self.blocked_since.entry(txn).or_insert(at);
+            }
+            Some(EpisodeEdge::Close { txn }) => self.close_episode(at, txn),
+            None => {}
+        }
         match event.kind {
             SimEventKind::TxnArrived { .. } => self.window_at(at).arrivals += 1,
             SimEventKind::TxnCommitted { txn } => {
                 self.window_at(at).commits += 1;
-                // No close_episode here: a committing transaction cannot
-                // be blocked, and MetricsSink's histogram (the closure
-                // target) only closes episodes on grant/upgrade/abort.
+                // A committing transaction cannot be blocked, so a commit
+                // closes no episode (see `EpisodeEdge`).
                 self.close_burst(at, event.site, txn);
             }
             SimEventKind::TxnAborted { txn, reason } => {
@@ -245,14 +252,7 @@ impl EventSink<SimEvent> for TimeSeriesSink {
                     AbortReason::SiteFailed => self.window_at(at).faults += 1,
                     AbortReason::DeadlockVictim => self.window_at(at).restarts += 1,
                 }
-                self.close_episode(at, txn);
                 self.close_burst(at, event.site, txn);
-            }
-            SimEventKind::LockBlocked { txn, .. } | SimEventKind::CeilingBlocked { txn, .. } => {
-                self.blocked_since.entry(txn).or_insert(at);
-            }
-            SimEventKind::LockGranted { txn, .. } | SimEventKind::LockUpgraded { txn, .. } => {
-                self.close_episode(at, txn);
             }
             SimEventKind::Dispatched { txn } => {
                 if let Some((prev, since)) = self.running.insert(event.site, (txn, at)) {

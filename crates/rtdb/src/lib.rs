@@ -42,5 +42,5 @@ pub use lock::{GrantedLock, LockEvent, LockMode, LockOutcome, LockTable, QueuePo
 pub use object::{DataObject, ObjectStore};
 pub use scratch::GranuleScratch;
 pub use small::InlineVec;
-pub use txn::{TxnKind, TxnSpec, TxnState};
+pub use txn::{TxnKind, TxnSpec};
 pub use wfg::WaitsForGraph;

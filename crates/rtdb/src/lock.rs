@@ -206,7 +206,6 @@ pub struct LockTable {
     waiting_on: FxHashMap<TxnId, ObjectId>,
     next_seq: u64,
     grants: u64,
-    waits: u64,
     upgrades: u64,
     /// An empty held list kept from the last [`LockTable::release_all`], so
     /// the next transaction's first grant reuses its allocation.
@@ -221,7 +220,6 @@ impl fmt::Debug for LockTable {
             .field("policy", &self.policy)
             .field("locked_objects", &self.locks.len())
             .field("grants", &self.grants)
-            .field("waits", &self.waits)
             .finish()
     }
 }
@@ -236,7 +234,6 @@ impl LockTable {
             waiting_on: FxHashMap::default(),
             next_seq: 0,
             grants: 0,
-            waits: 0,
             upgrades: 0,
             scratch_objs: Vec::new(),
             trace: false,
@@ -332,7 +329,6 @@ impl LockTable {
                 // holds a read lock, so nothing behind it can run anyway.
                 state.queue.push_front(waiter);
                 self.waiting_on.insert(txn, object);
-                self.waits += 1;
                 if self.trace {
                     self.journal.push(LockEvent::Blocked {
                         txn,
@@ -395,7 +391,6 @@ impl LockTable {
             upgrade: false,
         });
         self.waiting_on.insert(txn, object);
-        self.waits += 1;
         if self.trace {
             self.journal.push(LockEvent::Blocked {
                 txn,
@@ -555,11 +550,6 @@ impl LockTable {
     /// Number of requests granted so far (including re-grants and upgrades).
     pub fn grant_count(&self) -> u64 {
         self.grants
-    }
-
-    /// Number of requests that had to wait.
-    pub fn wait_count(&self) -> u64 {
-        self.waits
     }
 
     /// Number of read-to-write upgrades granted in place.

@@ -1,10 +1,9 @@
-//! Transaction specifications and runtime state.
+//! Transaction specifications.
 //!
 //! A [`TxnSpec`] is the immutable description the workload generator
 //! produces: arrival time, declared read and write sets (the priority
 //! ceiling protocol requires declared access sets to compute ceilings),
-//! deadline, and home site. [`TxnState`] is the lifecycle the transaction
-//! manager drives.
+//! deadline, and home site.
 
 use std::fmt;
 
@@ -21,23 +20,6 @@ pub enum TxnKind {
     ReadOnly,
     /// Reads and writes.
     Update,
-}
-
-/// Lifecycle of a transaction inside the transaction manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TxnState {
-    /// Generated but not yet arrived.
-    Pending,
-    /// Arrived; executing its operation sequence.
-    Running,
-    /// Blocked waiting for a lock or a ceiling.
-    Blocked,
-    /// Finished successfully before its deadline.
-    Committed,
-    /// Aborted by its deadline expiring.
-    MissedDeadline,
-    /// Aborted as a deadlock victim and awaiting restart.
-    Restarting,
 }
 
 /// The immutable description of one transaction.
