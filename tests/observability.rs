@@ -190,12 +190,37 @@ fn chaos() -> FaultPlan {
     }
 }
 
+/// `tiny_distributed(0.3)` in reverse list order, with T3 and T4 moved
+/// onto the tick T0's first burst ends (T0 runs alone at site 0), and
+/// site 2 crashing on T5's arrival tick there. It pins the engine's sort
+/// of an unsorted list, same-tick arrivals in list order, every arrival
+/// ahead of the events the run schedules for its tick, and a crash
+/// scheduled before the run ahead of an arrival on its tick.
+fn tied_arrivals() -> (Vec<TxnSpec>, FaultPlan) {
+    let mut txns = tiny_distributed(0.3);
+    let burst_end = txns[0].arrival + SimDuration::from_ticks(1_000);
+    txns[3].arrival = burst_end;
+    txns[4].arrival = burst_end;
+    let crash = CrashWindow {
+        site: txns[5].home_site,
+        down_at: txns[5].arrival,
+        up_at: Some(SimTime::from_ticks(9_000)),
+    };
+    txns.reverse();
+    let faults = FaultPlan {
+        crashes: vec![crash],
+        ..chaos()
+    };
+    (txns, faults)
+}
+
 /// Tiny fixed-seed runs whose full event streams are committed as
 /// `tests/golden/<name>.txt`.
 fn golden_table() -> Vec<(&'static str, VecSink<SimEvent>)> {
     use CeilingArchitecture::{GlobalManager, LocalReplicated};
     use ProtocolKind::{PriorityCeiling as C, TwoPhaseLockingPriority as P};
     let lagged = MvccConfig::snapshot(2, SimDuration::from_ticks(1_500));
+    let (tied, tied_faults) = tied_arrivals();
     vec![
         (
             "inheritance",
@@ -241,6 +266,10 @@ fn golden_table() -> Vec<(&'static str, VecSink<SimEvent>)> {
         (
             "dist_local_faults",
             dist(net(LocalReplicated).faults(chaos()), tiny_distributed(0.3)),
+        ),
+        (
+            "dist_arrival_ties",
+            dist(net(LocalReplicated).faults(tied_faults), tied),
         ),
     ]
 }
