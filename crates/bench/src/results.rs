@@ -388,7 +388,7 @@ pub fn emit(
 /// a JSON array of `{experiment, runs, events, workers, wall_clock_seconds,
 /// events_per_sec}` entries plus flat per-protocol blocking-time tail
 /// fields (`blocked_p95_C`, `blocked_p99_local`, … in ticks; the keys stay
-/// flat and numeric so [`parse_entries`] round-trips them). The file is
+/// flat and numeric so `parse_entries` round-trips them). The file is
 /// rewritten whole each time.
 pub fn record_wall_clock(experiment: &str, results: &SweepResults) -> io::Result<PathBuf> {
     let Json::Object(mut entry_fields) = Json::object([

@@ -274,10 +274,6 @@ struct Messaging {
     next_system_id: u64,
     /// Scratch for draining the network journal.
     scratch_net: Vec<NetJournalEntry>,
-    /// Retired system-transaction specs: one secondary update runs per
-    /// written object per remote site, so their specs churn far faster
-    /// than user transactions and are recycled rather than reallocated.
-    spec_pool: Vec<TxnSpec>,
 }
 
 impl Messaging {
@@ -300,6 +296,20 @@ impl Driver for Messaging {
         txn.0 >= SYSTEM_TXN_BASE
     }
 
+    /// An arrival at a site that is down never starts, but it is still
+    /// registered so the run's accounting closes (committed + missed +
+    /// faulted + in_progress == generated).
+    fn arrive<S: EventSink<SimEvent>>(e: &mut DistModel<S>, txn: TxnId, sched: &mut Scheduler<Ev>) {
+        let home = e.home(txn);
+        if e.driver.net.is_site_up(home) {
+            e.arrive(txn, sched);
+            return;
+        }
+        let now = sched.now();
+        e.register(txn, now);
+        e.finish(txn, home, Some(AbortReason::SiteFailed), now);
+    }
+
     fn admit<S: EventSink<SimEvent>>(e: &mut DistModel<S>, txn: TxnId, sched: &mut Scheduler<Ev>) {
         if !e.driver.global() {
             e.admit_local(txn, sched.now());
@@ -307,7 +317,7 @@ impl Driver for Messaging {
             return;
         }
         // The registration message needs an owned copy of the spec.
-        let spec = e.specs[&txn].clone();
+        let spec = e.specs[txn].clone();
         let home = spec.home_site;
         e.rpc(txn).priority = Some(spec.base_priority());
         e.send(home, MANAGER, Message::RegisterTxn(spec), sched);
@@ -383,7 +393,7 @@ impl Driver for Messaging {
             site,
             "restriction 2: writes must be primary at the home site"
         );
-        let origin_deadline = e.specs[&txn].deadline;
+        let origin_deadline = e.specs[txn].deadline;
         let apply = SystemApply {
             object,
             value,
@@ -427,7 +437,6 @@ impl<S: EventSink<SimEvent>> Model for DistModel<S> {
 
     fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
         match event {
-            Ev::Site(SiteEvent::Arrive(txn)) => self.on_arrive(txn, sched),
             Ev::Site(event) => self.on_site_event(event, sched),
             Ev::Deliver { from, to, msg } => {
                 // The destination's fate is decided at *delivery* time: a
@@ -477,7 +486,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
     }
 
     fn home(&self, txn: TxnId) -> SiteId {
-        self.specs[&txn].home_site
+        self.specs[txn].home_site
     }
 
     /// The message-server state of live transaction `txn`.
@@ -517,20 +526,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             in_flight,
         };
         self.emit(now, from, dropped);
-    }
-
-    /// An arrival at a site that is down never starts, but it is still
-    /// registered so the run's accounting closes (committed + missed +
-    /// faulted + in_progress == generated).
-    fn on_arrive(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
-        let home = self.home(txn);
-        if self.driver.net.is_site_up(home) {
-            self.on_site_event(SiteEvent::Arrive(txn), sched);
-            return;
-        }
-        let now = sched.now();
-        self.register(txn, now);
-        self.finish(txn, home, Some(AbortReason::SiteFailed), now);
     }
 
     /// Closes `txn`'s open lock RPC, if any.
@@ -575,7 +570,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
     ) {
         for &s in sites {
             let writes = if commit {
-                self.specs[&txn].write_set.clone()
+                self.specs[txn].write_set.clone()
             } else {
                 Vec::new()
             };
@@ -879,7 +874,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         if self.driver.faults_active {
             // The lost message may have been the registration itself;
             // the manager ignores a duplicate.
-            let spec = self.specs[&txn].clone();
+            let spec = self.specs[txn].clone();
             self.send(home, MANAGER, Message::RegisterTxn(spec), sched);
         }
         self.request_lock(txn, attempt.min(MAX_BACKOFF_SHIFT), sched);
@@ -889,7 +884,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
     /// updates run two-phase commit over the primary sites of their write
     /// set.
     fn commit_global(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
-        let spec = &self.specs[&txn];
+        let spec = &self.specs[txn];
         let home = spec.home_site;
         if spec.write_set.is_empty() {
             self.finalize_global(txn, sched);
@@ -950,7 +945,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         sched: &mut Scheduler<Ev>,
     ) {
         for (txn, priority) in updates {
-            if let Some(spec) = self.specs.get(&txn) {
+            if let Some(spec) = self.specs.get(txn) {
                 let to = spec.home_site;
                 self.send(
                     MANAGER,
@@ -980,17 +975,11 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         // a deadline in the past is clamped (the priority ordering shifts
         // negligibly, the update itself has no deadline).
         let deadline = origin_deadline.max(now + SimDuration::from_ticks(1));
-        // Recycle a retired spec: the constructor's invariants hold by
-        // construction here (single write, no reads, deadline after now).
-        let mut spec = self.driver.spec_pool.pop().unwrap_or_else(|| {
-            TxnSpec::new(
-                TxnId(SYSTEM_TXN_BASE),
-                SimTime::ZERO,
-                Vec::new(),
-                vec![ObjectId(0)],
-                SimTime::from_ticks(1),
-                site,
-            )
+        // Overwrite a retired system transaction's spec in place: the
+        // constructor's invariants hold by construction here (single
+        // write, no reads, deadline after now).
+        let spec = self.specs.reuse_slot(id, || {
+            TxnSpec::new(id, now, Vec::new(), vec![apply.object], deadline, site)
         });
         spec.id = id;
         spec.arrival = now;
@@ -999,7 +988,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         spec.write_set.push(apply.object);
         spec.deadline = deadline;
         spec.home_site = site;
-        self.specs.insert(id, spec);
         let mut exec = self.take_exec(site, self.driver.config.apply_cost);
         exec.seq.push((apply.object, LockMode::Write));
         exec.ext.system = Some(apply);
@@ -1037,12 +1025,12 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         self.pump(sched);
     }
 
-    /// Drops a system transaction's record, keeping its spec for reuse.
+    /// Drops a system transaction's record and frees its spec's slot for
+    /// the next one.
     fn retire_system(&mut self, txn: TxnId) {
         let exec = self.exec.remove(&txn).expect("live system transaction");
         self.recycle(exec);
-        let spec = self.specs.remove(&txn).expect("system spec");
-        self.driver.spec_pool.push(spec);
+        self.specs.retire(txn);
     }
 
     /// Probes the temporally consistent view for a read-only transaction:
@@ -1052,7 +1040,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         let Some(vs) = self.sites[site.index()].versions.as_ref() else {
             return;
         };
-        let spec = &self.specs[&txn];
+        let spec = &self.specs[txn];
         if !spec.write_set.is_empty() {
             return; // only read-only queries pin snapshots
         }
@@ -1238,7 +1226,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             Message::ReleaseTxn { txn } => {
                 self.release_at_manager(txn, sched);
                 if self.driver.faults_active {
-                    if let Some(spec) = self.specs.get(&txn) {
+                    if let Some(spec) = self.specs.get(txn) {
                         let from = spec.home_site;
                         self.send(to, from, Message::ReleaseAck { txn }, sched);
                     }
@@ -1497,7 +1485,6 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
             "transaction id in system range"
         );
     }
-    let (specs, arrivals) = site::index_specs(txns);
     let tracing = sink.enabled();
     let mut net = Network::with_faults(
         config.topology.delay_matrix(sites, config.comm_delay),
@@ -1539,9 +1526,8 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
         pending_releases: FxHashMap::default(),
         next_system_id: 0,
         scratch_net: Vec::new(),
-        spec_pool: Vec::new(),
     };
-    let mut engine = Engine::new(SiteEngine::new(site_list, specs, policy, sink, driver));
+    let mut engine = Engine::new(SiteEngine::new(site_list, txns, policy, sink, driver));
     if let Some((site, at)) = fail_site {
         assert!(site.0 < sites, "failed site out of range");
         engine.scheduler_mut().schedule(at, Ev::SiteDown(site));
@@ -1556,7 +1542,7 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
             engine.scheduler_mut().schedule(up_at, Ev::SiteUp(w.site));
         }
     }
-    let (model, events, makespan) = site::run(engine, arrivals);
+    let (model, events, makespan) = site::run(engine);
     debug_assert!(
         model.driver.pending_releases.is_empty(),
         "release retransmission left dangling"

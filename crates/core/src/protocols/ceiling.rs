@@ -368,12 +368,9 @@ impl PriorityCeilingProtocol {
         }
     }
 
-    /// The blocked-by relation, waiter to blockers.
-    fn blocked_by(&self) -> FxHashMap<TxnId, Vec<TxnId>> {
-        self.blocked
-            .iter()
-            .map(|b| (b.txn, b.blockers.clone()))
-            .collect()
+    /// The blocked-by relation, each waiter with its blockers.
+    fn blocked_by(&self) -> impl Iterator<Item = (TxnId, &[TxnId])> + Clone + '_ {
+        self.blocked.iter().map(|b| (b.txn, b.blockers.as_slice()))
     }
 
     fn coerce_mode(&self, mode: LockMode) -> LockMode {
@@ -900,7 +897,7 @@ impl LockProtocol for PriorityCeilingProtocol {
         }
         // The incremental recompute must agree with inheritance computed
         // from scratch.
-        let fixpoint = effective_priorities(&self.base, &self.blocked_by(), &mut Vec::new());
+        let fixpoint = effective_priorities(&self.base, self.blocked_by(), &mut Vec::new());
         assert_eq!(
             fixpoint, self.effective,
             "effective priorities off the inheritance fixpoint"

@@ -122,7 +122,7 @@ impl PriorityCeilingProtocol {
     /// transaction, diffed against the previous assignment.
     pub(super) fn recompute_reference(&mut self) -> Vec<(TxnId, Priority)> {
         let mut anomalies = Vec::new();
-        let mut eff = effective_priorities(&self.base, &self.blocked_by(), &mut anomalies);
+        let mut eff = effective_priorities(&self.base, self.blocked_by(), &mut anomalies);
         if self.trace {
             self.journal.extend(
                 anomalies

@@ -16,8 +16,9 @@ use starlite::{FxHashMap, Priority};
 /// its own base priority and the effective priorities of all transactions
 /// (transitively) blocked by it.
 ///
-/// `blocked_by` maps each blocked transaction to the transactions it waits
-/// for. Unlisted transactions run at base priority.
+/// `blocked_by` lists each blocked transaction with the transactions it
+/// waits for; the fixpoint walks it once per pass, so it must be cheap to
+/// clone. Unlisted transactions run at base priority.
 ///
 /// Every waiter key must be registered in `base`: a transaction can only
 /// wait after a `request`, which requires registration, and
@@ -30,9 +31,9 @@ use starlite::{FxHashMap, Priority};
 /// turns it into a `protocol-anomaly` violation). Blockers missing from
 /// `base` are merely skipped: edge refreshes already prune departed
 /// holders, and a stale blocker has nobody left to boost.
-pub(crate) fn effective_priorities(
+pub(crate) fn effective_priorities<'a>(
     base: &FxHashMap<TxnId, Priority>,
-    blocked_by: &FxHashMap<TxnId, Vec<TxnId>>,
+    blocked_by: impl Iterator<Item = (TxnId, &'a [TxnId])> + Clone,
     anomalies: &mut Vec<TxnId>,
 ) -> FxHashMap<TxnId, Priority> {
     let mut eff = FxHashMap::default();
@@ -42,9 +43,9 @@ pub(crate) fn effective_priorities(
 
 /// [`effective_priorities`] into a caller-owned map, so recomputes on the
 /// hot path reuse one allocation instead of cloning `base` every call.
-pub(crate) fn effective_priorities_into(
+pub(crate) fn effective_priorities_into<'a>(
     base: &FxHashMap<TxnId, Priority>,
-    blocked_by: &FxHashMap<TxnId, Vec<TxnId>>,
+    blocked_by: impl Iterator<Item = (TxnId, &'a [TxnId])> + Clone,
     anomalies: &mut Vec<TxnId>,
     eff: &mut FxHashMap<TxnId, Priority>,
 ) {
@@ -56,10 +57,10 @@ pub(crate) fn effective_priorities_into(
     let mut first_pass = true;
     loop {
         let mut changed = false;
-        for (waiter, blockers) in blocked_by {
-            let Some(&wp) = eff.get(waiter) else {
+        for (waiter, blockers) in blocked_by.clone() {
+            let Some(&wp) = eff.get(&waiter) else {
                 if first_pass {
-                    anomalies.push(*waiter);
+                    anomalies.push(waiter);
                 }
                 debug_assert!(false, "waiter {waiter} in blocked_by but not registered");
                 continue;
@@ -111,12 +112,19 @@ mod tests {
             .collect()
     }
 
+    /// The fixpoint over `edges`, walked in the order given.
+    fn fixpoint(
+        base: &FxHashMap<TxnId, Priority>,
+        edges: &[(TxnId, Vec<TxnId>)],
+    ) -> FxHashMap<TxnId, Priority> {
+        let edges = edges.iter().map(|(w, b)| (*w, b.as_slice()));
+        effective_priorities(base, edges, &mut Vec::new())
+    }
+
     #[test]
     fn direct_inheritance() {
         let b = base(&[(1, 10), (2, 1)]);
-        let blocked: FxHashMap<TxnId, Vec<TxnId>> =
-            [(TxnId(1), vec![TxnId(2)])].into_iter().collect();
-        let eff = effective_priorities(&b, &blocked, &mut Vec::new());
+        let eff = fixpoint(&b, &[(TxnId(1), vec![TxnId(2)])]);
         assert_eq!(eff[&TxnId(2)], Priority::new(10));
         assert_eq!(eff[&TxnId(1)], Priority::new(10));
     }
@@ -124,11 +132,10 @@ mod tests {
     #[test]
     fn transitive_chain() {
         let b = base(&[(1, 10), (2, 5), (3, 1)]);
-        let blocked: FxHashMap<TxnId, Vec<TxnId>> =
-            [(TxnId(1), vec![TxnId(2)]), (TxnId(2), vec![TxnId(3)])]
-                .into_iter()
-                .collect();
-        let eff = effective_priorities(&b, &blocked, &mut Vec::new());
+        let eff = fixpoint(
+            &b,
+            &[(TxnId(1), vec![TxnId(2)]), (TxnId(2), vec![TxnId(3)])],
+        );
         assert_eq!(eff[&TxnId(3)], Priority::new(10));
         assert_eq!(eff[&TxnId(2)], Priority::new(10));
     }
@@ -136,7 +143,7 @@ mod tests {
     #[test]
     fn no_inheritance_without_blocking() {
         let b = base(&[(1, 10), (2, 1)]);
-        let eff = effective_priorities(&b, &FxHashMap::default(), &mut Vec::new());
+        let eff = fixpoint(&b, &[]);
         assert_eq!(eff, b);
     }
 
@@ -154,9 +161,7 @@ mod tests {
     #[test]
     fn unknown_blockers_are_ignored() {
         let b = base(&[(1, 10)]);
-        let blocked: FxHashMap<TxnId, Vec<TxnId>> =
-            [(TxnId(1), vec![TxnId(99)])].into_iter().collect();
-        let eff = effective_priorities(&b, &blocked, &mut Vec::new());
+        let eff = fixpoint(&b, &[(TxnId(1), vec![TxnId(99)])]);
         assert_eq!(eff.len(), 1);
     }
 
@@ -167,30 +172,28 @@ mod tests {
         // protocols never produce this state, and the computation flags it
         // instead of silently dropping inheritance.
         let b = base(&[(2, 1)]);
-        let blocked: FxHashMap<TxnId, Vec<TxnId>> =
-            [(TxnId(1), vec![TxnId(2)])].into_iter().collect();
-        let eff = effective_priorities(&b, &blocked, &mut Vec::new());
+        let eff = fixpoint(&b, &[(TxnId(1), vec![TxnId(2)])]);
         // Release builds skip the waiter and leave the blocker unboosted.
         assert_eq!(eff[&TxnId(2)], Priority::new(1));
     }
 
     #[test]
     fn long_chain_converges_regardless_of_edge_order() {
-        // A four-link chain needs several fixpoint passes when the map
-        // iterates the edges back to front; the result must not depend on
-        // FxHashMap iteration order.
+        // A four-link chain walked back to front needs several fixpoint
+        // passes; the result must not depend on the edge order.
         let b = base(&[(1, 50), (2, 40), (3, 30), (4, 20), (5, 10)]);
-        let blocked: FxHashMap<TxnId, Vec<TxnId>> = [
+        let mut edges = vec![
             (TxnId(1), vec![TxnId(2)]),
             (TxnId(2), vec![TxnId(3)]),
             (TxnId(3), vec![TxnId(4)]),
             (TxnId(4), vec![TxnId(5)]),
-        ]
-        .into_iter()
-        .collect();
-        let eff = effective_priorities(&b, &blocked, &mut Vec::new());
+        ];
+        let forward = fixpoint(&b, &edges);
+        edges.reverse();
+        let backward = fixpoint(&b, &edges);
+        assert_eq!(forward, backward);
         for t in 1..=5 {
-            assert_eq!(eff[&TxnId(t)], Priority::new(50), "txn {t}");
+            assert_eq!(backward[&TxnId(t)], Priority::new(50), "txn {t}");
         }
     }
 }

@@ -45,11 +45,9 @@ pub struct TwoPhaseLockingProtocol {
     /// `Some` only for "PI".
     inheritance: Option<Inheritance>,
     deadlocks: u64,
-    /// Scratch buffers for [`Self::refresh_wfg`] and [`Self::inherit`],
-    /// reused across calls so the per-release rebuilds stop allocating
-    /// once warm.
-    scratch_waiters: Vec<TxnId>,
-    scratch_blockers: Vec<TxnId>,
+    /// Every waiter's current blockers, listed once per release (and per
+    /// block under "PI") for the waits-for graph and the inheritance step.
+    blocked_by: BlockedBy,
     trace: bool,
     /// Protocol events, each behind the table events that preceded it
     /// (see [`Self::journal`]); later table events stay in the table's own
@@ -64,10 +62,44 @@ struct Inheritance {
     /// over `base` and the blocked-by relation as of the last block or
     /// release.
     effective: FxHashMap<TxnId, Priority>,
-    /// Scratch maps for the fixpoint, reused across calls: the blocked-by
-    /// relation and the new assignment.
-    scratch_edges: FxHashMap<TxnId, Vec<TxnId>>,
+    /// Scratch map for the fixpoint's new assignment, reused across calls.
     scratch_eff: FxHashMap<TxnId, Priority>,
+}
+
+/// The blocked-by relation as flat adjacency lists in retained buffers,
+/// so listing it allocates nothing once warm.
+#[derive(Default)]
+struct BlockedBy {
+    /// Every waiter, in id order.
+    waiters: Vec<TxnId>,
+    /// `ends[i]` is where waiter `i`'s blockers end in `blockers`.
+    ends: Vec<usize>,
+    blockers: Vec<TxnId>,
+    /// One waiter's blockers as the lock table reports them.
+    scratch: Vec<TxnId>,
+}
+
+impl BlockedBy {
+    /// Lists every waiter in `table` with its current blockers.
+    fn refill(&mut self, table: &LockTable) {
+        table.waiters_into(&mut self.waiters);
+        self.ends.clear();
+        self.blockers.clear();
+        for &t in &self.waiters {
+            table.current_blockers_into(t, &mut self.scratch);
+            self.blockers.extend_from_slice(&self.scratch);
+            self.ends.push(self.blockers.len());
+        }
+    }
+
+    /// Each waiter with its blockers, as last listed.
+    fn iter(&self) -> impl Iterator<Item = (TxnId, &[TxnId])> + Clone + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.waiters
+            .iter()
+            .zip(self.ends.iter().zip(starts))
+            .map(|(&t, (&end, start))| (t, &self.blockers[start..end]))
+    }
 }
 
 impl fmt::Debug for TwoPhaseLockingProtocol {
@@ -115,8 +147,7 @@ impl TwoPhaseLockingProtocol {
             base: FxHashMap::default(),
             inheritance: inherit.then(Inheritance::default),
             deadlocks: 0,
-            scratch_waiters: Vec::new(),
-            scratch_blockers: Vec::new(),
+            blocked_by: BlockedBy::default(),
             trace: false,
             journal: Vec::new(),
         }
@@ -130,37 +161,22 @@ impl TwoPhaseLockingProtocol {
         self.journal.extend(events);
     }
 
-    /// Rebuilds waits-for edges for every still-waiting transaction; the
-    /// blocker sets shift whenever grants reorder the queues.
-    fn refresh_wfg(&mut self) {
-        self.table.waiters_into(&mut self.scratch_waiters);
-        for &t in &self.scratch_waiters {
-            self.table
-                .current_blockers_into(t, &mut self.scratch_blockers);
-            self.wfg.set_edges(t, &self.scratch_blockers);
-        }
-    }
-
-    /// The inheritance step, run after every block and release: recomputes
-    /// the effective-priority fixpoint, requeues waiters at their new
-    /// priority so queue positions follow inherited urgency, journals each
-    /// change and returns the changes. Without inheritance it returns an
-    /// empty `Vec` and allocates nothing.
+    /// The inheritance step, run after every block and release over the
+    /// blocked-by relation as last listed: recomputes the
+    /// effective-priority fixpoint, requeues waiters at their new priority
+    /// so queue positions follow inherited urgency, journals each change
+    /// and returns the changes. Without inheritance it returns an empty
+    /// `Vec` and allocates nothing.
     fn inherit(&mut self) -> Vec<(TxnId, Priority)> {
         let Some(mut inh) = self.inheritance.take() else {
             return Vec::new();
         };
-        inh.scratch_edges.clear();
-        self.table.waiters_into(&mut self.scratch_waiters);
-        for &t in &self.scratch_waiters {
-            inh.scratch_edges.insert(t, self.table.current_blockers(t));
-        }
         // Empty unless the fixpoint sees an unregistered waiter, so this
         // never allocates on the hot path.
         let mut anomalies: Vec<TxnId> = Vec::new();
         effective_priorities_into(
             &self.base,
-            &inh.scratch_edges,
+            self.blocked_by.iter(),
             &mut anomalies,
             &mut inh.scratch_eff,
         );
@@ -263,6 +279,10 @@ impl LockProtocol for TwoPhaseLockingProtocol {
                     .iter()
                     .copied()
                     .min_by_key(|t| self.base.get(t).copied().unwrap_or(Priority::MIN));
+                // Only the inheritance step needs every waiter's blockers.
+                if self.inheritance.is_some() {
+                    self.blocked_by.refill(&self.table);
+                }
                 RequestResult {
                     outcome: RequestOutcome::Blocked { blocker },
                     priority_updates: self.inherit(),
@@ -285,7 +305,13 @@ impl LockProtocol for TwoPhaseLockingProtocol {
         for w in &wakeups {
             self.wfg.clear_waiter(w.txn);
         }
-        self.refresh_wfg();
+        // One walk over the waiters feeds both the waits-for edges, which
+        // shift whenever grants reorder the queues, and the inheritance
+        // step.
+        self.blocked_by.refill(&self.table);
+        for (t, blockers) in self.blocked_by.iter() {
+            self.wfg.set_edges(t, blockers);
+        }
         if reason == ReleaseReason::Finished {
             // The inheritance step rebuilds `effective` from `base`.
             self.base.remove(&txn);

@@ -9,10 +9,8 @@
 use std::fmt;
 
 use monitor::SimEvent;
-use rtdb::{Catalog, Placement, RangeLatchManager, TxnId, TxnSpec};
-use starlite::{
-    Cpu, Engine, EventSink, IoDevice, Model, NullSink, Scheduler, SimDuration, SimTime,
-};
+use rtdb::{Catalog, Placement, RangeLatchManager, TxnSpec};
+use starlite::{Cpu, Engine, EventSink, IoDevice, Model, NullSink, Scheduler, SimDuration};
 use workload::{Generator, WorkloadSpec};
 
 use crate::config::{ReaderMode, SingleSiteConfig};
@@ -121,19 +119,17 @@ pub fn run_transactions_with<S: EventSink<SimEvent>>(
     txns: Vec<TxnSpec>,
     sink: S,
 ) -> RunReport {
-    let (model, arrivals) = model(config, catalog, txns, sink);
-    let (model, events, makespan) = site::run(Engine::new(model), arrivals);
+    let (model, events, makespan) = site::run(Engine::new(model(config, catalog, txns, sink)));
     model.report(events, makespan)
 }
 
-/// The one-site model of a run, with the transactions' arrivals.
+/// The one-site model of a run over `txns`.
 fn model<S: EventSink<SimEvent>>(
     config: SingleSiteConfig,
     catalog: &Catalog,
     txns: Vec<TxnSpec>,
     sink: S,
-) -> (SiteEngine<S, OneSite>, Vec<(SimTime, TxnId)>) {
-    let (specs, arrivals) = site::index_specs(txns);
+) -> SiteEngine<S, OneSite> {
     let mvcc = config.mvcc;
     let site = Site::new(
         Cpu::new(config.protocol.cpu_policy()),
@@ -155,8 +151,7 @@ fn model<S: EventSink<SimEvent>>(
         reader_mode: mvcc.map(|m| m.reader_mode),
         reader_lag: mvcc.map_or(SimDuration::ZERO, |m| m.reader_lag),
     };
-    let model = SiteEngine::new(vec![site], specs, policy, sink, OneSite);
-    (model, arrivals)
+    SiteEngine::new(vec![site], txns, policy, sink, OneSite)
 }
 
 #[cfg(test)]
@@ -164,7 +159,8 @@ mod tests {
     use super::*;
     use crate::config::{MvccConfig, ProtocolKind};
     use monitor::CheckSink;
-    use rtdb::ObjectId;
+    use rtdb::{ObjectId, TxnId};
+    use starlite::SimTime;
     use workload::SizeDistribution;
 
     fn catalog() -> Catalog {
@@ -292,7 +288,7 @@ mod tests {
             ..config(ProtocolKind::PriorityCeiling)
         };
         let txns = vec![spec(0, 0, 1_000, vec![], vec![3])];
-        let (mut model, arrivals) = model(config, &catalog(), txns, NullSink);
+        let mut model = model(config, &catalog(), txns, NullSink);
         // Version 1 of object 3 is in both stores already, stamped after
         // the commit of version 2 to come.
         let late = SimTime::from_ticks(5_000);
@@ -300,7 +296,7 @@ mod tests {
         site.store.apply_write(ObjectId(3), 1, TxnId(9), late);
         let versions = site.versions.as_mut().expect("mvcc run");
         versions.install_if_newer(ObjectId(3), 1, 1, TxnId(9), late);
-        site::run(Engine::new(model), arrivals);
+        site::run(Engine::new(model));
     }
 
     #[test]

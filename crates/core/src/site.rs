@@ -26,6 +26,17 @@
 //! 5. **Deadlock** — the victim releases its locks, keeps its deadline,
 //!    and restarts from scratch (or aborts, when victims do not restart).
 //!
+//! The caller's transaction list is the run's only copy of each
+//! transaction: a [`SpecStore`] keeps it, sorted by arrival, behind a
+//! slot index by id, and the distributed simulator's system transactions
+//! overwrite retired slots in place. Arrivals are chained rather than
+//! scheduled up front: [`run`] reserves one sequence number per
+//! transaction and schedules the first arrival, and each `Arrive`
+//! schedules the next under its reserved number. Every arrival so keeps
+//! the `(time, sequence)` key it would have had if all were scheduled
+//! before the run, and ties with same-tick events as it would have then,
+//! while the event queue holds one arrival at a time.
+//!
 //! Writes increment the object's value by one, so a finished store must
 //! satisfy `value == version == committed writes`, an end-to-end
 //! correctness invariant the integration tests check alongside conflict
@@ -232,6 +243,15 @@ pub(crate) trait Driver: Sized {
         false
     }
 
+    /// `txn`'s arrival fired: by default it arrives at its home site.
+    fn arrive<S: EventSink<SimEvent>>(
+        e: &mut SiteEngine<S, Self>,
+        txn: TxnId,
+        sched: &mut Scheduler<Self::Event>,
+    ) {
+        e.arrive(txn, sched);
+    }
+
     /// `txn` arrived and has its execution record: start it.
     fn admit<S: EventSink<SimEvent>>(
         e: &mut SiteEngine<S, Self>,
@@ -300,11 +320,107 @@ pub(crate) trait Driver: Sized {
     }
 }
 
+/// The run's transactions, each held once: the caller's list, sorted by
+/// arrival, then the slots system transactions take in turn. A slot index
+/// maps each id to its spec. User transactions keep their slots for the
+/// whole run, since their specs are read after they finish; a retired
+/// system transaction's slot is overwritten by the next one.
+pub(crate) struct SpecStore {
+    specs: Vec<TxnSpec>,
+    /// Each transaction's slot in `specs`.
+    slots: FxHashMap<TxnId, u32>,
+    /// Length of the caller's list: the slots below it are the arrivals,
+    /// in firing order.
+    arrivals: u32,
+    /// Slots retired system transactions left, free to overwrite.
+    free: Vec<u32>,
+}
+
+impl SpecStore {
+    /// Takes the caller's list as the store. The list is stable-sorted by
+    /// arrival unless it already is (generated lists always are), so
+    /// same-tick arrivals keep list order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two transactions share an id.
+    fn new(mut txns: Vec<TxnSpec>) -> Self {
+        if !txns.is_sorted_by_key(|t| t.arrival) {
+            txns.sort_by_key(|t| t.arrival);
+        }
+        let arrivals = u32::try_from(txns.len()).expect("more than u32::MAX transactions");
+        let mut slots = FxHashMap::with_capacity_and_hasher(txns.len(), Default::default());
+        for (slot, spec) in (0..arrivals).zip(&txns) {
+            let prev = slots.insert(spec.id, slot);
+            assert!(prev.is_none(), "duplicate transaction id");
+        }
+        SpecStore {
+            specs: txns,
+            slots,
+            arrivals,
+            free: Vec::new(),
+        }
+    }
+
+    /// `txn`'s spec, if it has a slot.
+    pub(crate) fn get(&self, txn: TxnId) -> Option<&TxnSpec> {
+        self.slots.get(&txn).map(|&slot| &self.specs[slot as usize])
+    }
+
+    /// Arrival `i` of the caller's list, in firing order.
+    fn arrival(&self, i: u32) -> Option<&TxnSpec> {
+        (i < self.arrivals).then(|| &self.specs[i as usize])
+    }
+
+    /// Gives `txn` a slot and returns the spec in it for the caller to
+    /// overwrite: the one a retired transaction left there, or `fresh()`
+    /// in a new slot.
+    pub(crate) fn reuse_slot(
+        &mut self,
+        txn: TxnId,
+        fresh: impl FnOnce() -> TxnSpec,
+    ) -> &mut TxnSpec {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.specs.push(fresh());
+            u32::try_from(self.specs.len() - 1).expect("more than u32::MAX specs")
+        });
+        let prev = self.slots.insert(txn, slot);
+        debug_assert!(prev.is_none(), "{txn} already has a slot");
+        &mut self.specs[slot as usize]
+    }
+
+    /// Frees `txn`'s slot for the next [`SpecStore::reuse_slot`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `txn` has no slot.
+    pub(crate) fn retire(&mut self, txn: TxnId) {
+        let slot = self.slots.remove(&txn).expect("retiring txn has a slot");
+        self.free.push(slot);
+    }
+}
+
+impl std::ops::Index<TxnId> for SpecStore {
+    type Output = TxnSpec;
+
+    /// # Panics
+    ///
+    /// Panics if `txn` has no slot.
+    fn index(&self, txn: TxnId) -> &TxnSpec {
+        &self.specs[self.slots[&txn] as usize]
+    }
+}
+
 /// The sites of one simulation, the transactions running on them and
 /// their driver.
 pub(crate) struct SiteEngine<S, D: Driver> {
     pub(crate) sites: Vec<Site<D::Protocol>>,
-    pub(crate) specs: FxHashMap<TxnId, TxnSpec>,
+    pub(crate) specs: SpecStore,
+    /// Sequence number reserved for the first arrival; arrival `i` fires
+    /// under `arrival_seq + i`.
+    arrival_seq: u64,
+    /// Arrivals fired so far.
+    arrived: u32,
     pub(crate) exec: FxHashMap<TxnId, Exec<D::Txn>>,
     /// Retired execution records, recycled on the next arrival.
     exec_pool: Vec<Exec<D::Txn>>,
@@ -339,39 +455,25 @@ impl<S, D: Driver> fmt::Debug for SiteEngine<S, D> {
     }
 }
 
-/// Indexes a transaction list by id, returning the specs and the
-/// arrivals in list order.
-///
-/// # Panics
-///
-/// Panics if two transactions share an id.
-pub(crate) fn index_specs(
-    txns: Vec<TxnSpec>,
-) -> (FxHashMap<TxnId, TxnSpec>, Vec<(SimTime, TxnId)>) {
-    let mut specs = FxHashMap::default();
-    let mut arrivals = Vec::with_capacity(txns.len());
-    for spec in txns {
-        arrivals.push((spec.arrival, spec.id));
-        let prev = specs.insert(spec.id, spec);
-        assert!(prev.is_none(), "duplicate transaction id");
-    }
-    (specs, arrivals)
-}
-
-/// Schedules the arrivals and runs the model until no event is left,
+/// Starts the arrival chain and runs the model until no event is left,
 /// returning it with the number of events executed and the makespan.
-pub(crate) fn run<S, D>(
-    mut engine: Engine<SiteEngine<S, D>>,
-    arrivals: Vec<(SimTime, TxnId)>,
-) -> (SiteEngine<S, D>, u64, SimTime)
+///
+/// The arrivals' sequence numbers are reserved here, after any events the
+/// caller scheduled before the run, so every arrival keeps the key it
+/// would have had if all had been scheduled at this point.
+pub(crate) fn run<S, D>(mut engine: Engine<SiteEngine<S, D>>) -> (SiteEngine<S, D>, u64, SimTime)
 where
+    S: EventSink<SimEvent>,
     D: Driver,
     SiteEngine<S, D>: Model<Event = D::Event>,
 {
-    for (arrival, id) in arrivals {
+    let arrivals = engine.model().specs.arrivals;
+    let first_seq = engine.scheduler_mut().reserve(u64::from(arrivals));
+    engine.model_mut().arrival_seq = first_seq;
+    if let Some((at, seq, event)) = engine.model().arrival(0) {
         engine
             .scheduler_mut()
-            .schedule(arrival, SiteEvent::Arrive(id).into());
+            .schedule_reserved(at, seq, event.into());
     }
     // Generous cap: every transaction contributes a bounded number of
     // events per attempt, and attempts are bounded by deadlines.
@@ -386,16 +488,24 @@ where
 }
 
 impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
+    /// An engine over `sites` that runs the transactions of `txns`, which
+    /// becomes the run's spec store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two transactions share an id.
     pub(crate) fn new(
         sites: Vec<Site<D::Protocol>>,
-        specs: FxHashMap<TxnId, TxnSpec>,
+        txns: Vec<TxnSpec>,
         policy: Policy,
         sink: S,
         driver: D,
     ) -> Self {
         SiteEngine {
             sites,
-            specs,
+            specs: SpecStore::new(txns),
+            arrival_seq: 0,
+            arrived: 0,
             exec: FxHashMap::default(),
             exec_pool: Vec::new(),
             pending: VecDeque::new(),
@@ -483,7 +593,16 @@ impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
     /// Handles one site event.
     pub(crate) fn on_site_event(&mut self, event: SiteEvent, sched: &mut Scheduler<D::Event>) {
         match event {
-            SiteEvent::Arrive(txn) => self.arrive(txn, sched),
+            SiteEvent::Arrive(txn) => {
+                // One arrival is pending at a time, so they fire in
+                // store order; chain the next one first.
+                debug_assert_eq!(self.specs.arrival(self.arrived).map(|s| s.id), Some(txn));
+                self.arrived += 1;
+                if let Some((at, seq, next)) = self.arrival(self.arrived) {
+                    sched.schedule_reserved(at, seq, next.into());
+                }
+                D::arrive(self, txn, sched)
+            }
             SiteEvent::IoDone { site, txn, attempt } => self.on_io_done(site, txn, attempt, sched),
             SiteEvent::BurstDone { site, token } => self.on_burst_done(site, token, sched),
             SiteEvent::Deadline(txn) => {
@@ -498,6 +617,14 @@ impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
     }
 
     // ----- arrival ------------------------------------------------------
+
+    /// Arrival `i` of the chain: its time, its reserved sequence number
+    /// and its event.
+    fn arrival(&self, i: u32) -> Option<(SimTime, u64, SiteEvent)> {
+        let spec = self.specs.arrival(i)?;
+        let seq = self.arrival_seq + u64::from(i);
+        Some((spec.arrival, seq, SiteEvent::Arrive(spec.id)))
+    }
 
     /// Takes a fully reset execution record from the pool (or a fresh one).
     pub(crate) fn take_exec(&mut self, site: SiteId, burst: SimDuration) -> Exec<D::Txn> {
@@ -533,23 +660,23 @@ impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
     /// Journals `txn`'s arrival at its home site and registers it with
     /// the stats fold. Returns the home site and the deadline.
     pub(crate) fn register(&mut self, txn: TxnId, now: SimTime) -> (SiteId, SimTime) {
-        let spec = self.specs.get(&txn).expect("arriving txn has a spec");
+        let spec = &self.specs[txn];
         let (site, deadline, priority) = (spec.home_site, spec.deadline, spec.base_priority());
         self.emit(now, site, SimEventKind::TxnArrived { txn, priority });
-        self.stats.register(&self.specs[&txn]);
+        self.stats.register(&self.specs[txn]);
         (site, deadline)
     }
 
     /// A transaction arrives at its home site: it is registered, its
     /// deadline timer is armed, and the driver admits it.
-    fn arrive(&mut self, txn: TxnId, sched: &mut Scheduler<D::Event>) {
+    pub(crate) fn arrive(&mut self, txn: TxnId, sched: &mut Scheduler<D::Event>) {
         let now = sched.now();
         let (site, deadline) = self.register(txn, now);
         self.emit(now, site, SimEventKind::TxnStarted { txn });
         let deadline_ev = sched.schedule(deadline, SiteEvent::Deadline(txn).into());
         let mut exec = self.take_exec(site, self.policy.cpu_per_object);
         exec.deadline_ev = Some(deadline_ev);
-        exec.seq.extend(self.specs[&txn].access_ops());
+        exec.seq.extend(self.specs[txn].access_ops());
         self.exec.insert(txn, exec);
         D::admit(self, txn, sched);
     }
@@ -560,10 +687,10 @@ impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
     /// the lock protocol: no registration (their declared sets must not
     /// inflate priority ceilings) and no lock requests.
     pub(crate) fn admit_local(&mut self, txn: TxnId, now: SimTime) {
-        let site = self.specs[&txn].home_site;
+        let site = self.specs[txn].home_site;
         match self.reader_mode(txn) {
             Some(ReaderMode::Snapshot) => {
-                let arrival = self.specs[&txn].arrival;
+                let arrival = self.specs[txn].arrival;
                 let pin = SimTime::from_ticks(
                     arrival
                         .ticks()
@@ -583,7 +710,7 @@ impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
                 // write-mode if the transaction writes any object in it.
                 let exec = self.exec.get_mut(&txn).expect("checked above");
                 self.granule_scratch.map(
-                    &self.specs[&txn],
+                    &self.specs[txn],
                     self.policy.lock_granularity,
                     &mut self.granule_spec,
                     &mut exec.lock_seq,
@@ -600,7 +727,7 @@ impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
     /// classes).
     pub(crate) fn reader_mode(&self, txn: TxnId) -> Option<ReaderMode> {
         let mode = self.policy.reader_mode?;
-        let spec = self.specs.get(&txn)?;
+        let spec = self.specs.get(txn)?;
         spec.write_set.is_empty().then_some(mode)
     }
 
@@ -695,8 +822,8 @@ impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
     /// Whether `blocker` has a lower base priority than `txn`.
     pub(crate) fn lower_priority(&self, blocker: TxnId, txn: TxnId) -> bool {
         self.specs
-            .get(&blocker)
-            .is_some_and(|b| b.base_priority() < self.specs[&txn].base_priority())
+            .get(blocker)
+            .is_some_and(|b| b.base_priority() < self.specs[txn].base_priority())
     }
 
     /// A blocked request was granted (lock or latch): acquire whatever
@@ -737,7 +864,7 @@ impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
         let exec = &self.exec[&txn];
         let site = exec.site;
         let (lo, hi, mode) = if self.reader_mode(txn) == Some(ReaderMode::LatchScan) {
-            let reads = &self.specs[&txn].read_set;
+            let reads = &self.specs[txn].read_set;
             let lo = reads.iter().map(|o| o.0).min().expect("reader reads");
             let hi = reads.iter().map(|o| o.0).max().expect("reader reads");
             (ObjectId(lo), ObjectId(hi), LockMode::Read)
@@ -932,7 +1059,7 @@ impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
             .reader_mode(txn)
             .is_some_and(|m| m != ReaderMode::Locking)
         {
-            self.specs[&txn].base_priority()
+            self.specs[txn].base_priority()
         } else {
             D::effective_priority(self, txn, site)
         };

@@ -44,8 +44,8 @@ pub enum SimEventKind {
         /// The arriving transaction.
         txn: TxnId,
         /// Its base (scheduling) priority at arrival. Profilers band
-        /// transactions by this value; it is not echoed in [`Display`]
-        /// output, which predates the field.
+        /// transactions by this value; it is not echoed in
+        /// [`Display`](std::fmt::Display) output, which predates the field.
         priority: Priority,
     },
     /// A transaction began executing for the first time.

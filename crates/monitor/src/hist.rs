@@ -5,10 +5,9 @@
 //! values into a fixed bucket layout. Plain power-of-two buckets saturate
 //! at large scales — at `fig_scale`'s million-transaction runs a bucket
 //! spanning `[2^19, 2^20)` collapses the whole tail into one value — so
-//! each power-of-two range is split into [`SUB_BUCKETS`] linear
-//! sub-buckets, bounding the relative quantile error at `1/32` (~3%)
-//! across the full `u64` range while values below [`SUB_BUCKETS`] stay
-//! exact. The layout is `Copy` and allocation-free so per-run metrics can
+//! each power-of-two range is split into 32 linear sub-buckets, bounding
+//! the relative quantile error at `1/32` (~3%) across the full `u64`
+//! range while values below 32 stay exact. The layout is `Copy` and allocation-free so per-run metrics can
 //! carry and merge histograms cheaply, and all percentile arithmetic is
 //! integral — the same inputs produce the same percentiles on every
 //! platform.

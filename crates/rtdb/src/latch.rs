@@ -90,8 +90,6 @@ pub struct RangeLatchManager {
     /// behind it even when compatible with every holder, so writers are
     /// never starved by a stream of overlapping readers.
     waiters: VecDeque<Latch>,
-    grants: u64,
-    blocks: u64,
 }
 
 impl fmt::Debug for RangeLatchManager {
@@ -99,8 +97,6 @@ impl fmt::Debug for RangeLatchManager {
         f.debug_struct("RangeLatchManager")
             .field("held", &self.held.len())
             .field("waiting", &self.waiters.len())
-            .field("grants", &self.grants)
-            .field("blocks", &self.blocks)
             .finish()
     }
 }
@@ -146,11 +142,9 @@ impl RangeLatchManager {
             .map(|w| w.txn);
         if holder.is_none() && ahead.is_none() {
             self.held.push(Latch { txn, lo, hi, mode });
-            self.grants += 1;
             return LatchOutcome::Granted;
         }
         self.waiters.push_back(Latch { txn, lo, hi, mode });
-        self.blocks += 1;
         LatchOutcome::Blocked {
             blocker: holder.or(ahead),
         }
@@ -178,7 +172,6 @@ impl RangeLatchManager {
                 still_waiting.push_back(w);
             } else {
                 self.held.push(w);
-                self.grants += 1;
                 granted.push(GrantedLatch {
                     txn: w.txn,
                     lo: ObjectId(w.lo),
@@ -209,16 +202,6 @@ impl RangeLatchManager {
     /// Number of queued requests.
     pub fn waiter_count(&self) -> usize {
         self.waiters.len()
-    }
-
-    /// Latch acquisitions granted so far (immediate or by a release pass).
-    pub fn grant_count(&self) -> u64 {
-        self.grants
-    }
-
-    /// Acquisitions that had to queue.
-    pub fn block_count(&self) -> u64 {
-        self.blocks
     }
 
     /// Internal invariant check for tests: no two held latches conflict,

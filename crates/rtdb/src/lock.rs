@@ -205,8 +205,6 @@ pub struct LockTable {
     held_by: FxHashMap<TxnId, Vec<ObjectId>>,
     waiting_on: FxHashMap<TxnId, ObjectId>,
     next_seq: u64,
-    grants: u64,
-    upgrades: u64,
     /// An empty held list kept from the last [`LockTable::release_all`], so
     /// the next transaction's first grant reuses its allocation.
     scratch_objs: Vec<ObjectId>,
@@ -219,7 +217,6 @@ impl fmt::Debug for LockTable {
         f.debug_struct("LockTable")
             .field("policy", &self.policy)
             .field("locked_objects", &self.locks.len())
-            .field("grants", &self.grants)
             .finish()
     }
 }
@@ -233,8 +230,6 @@ impl LockTable {
             held_by: FxHashMap::default(),
             waiting_on: FxHashMap::default(),
             next_seq: 0,
-            grants: 0,
-            upgrades: 0,
             scratch_objs: Vec::new(),
             trace: false,
             journal: Vec::new(),
@@ -288,14 +283,12 @@ impl LockTable {
         match state.holder_mode(txn) {
             Some(LockMode::Write) => {
                 // Write covers everything.
-                self.grants += 1;
                 if self.trace {
                     self.journal.push(LockEvent::Granted { txn, object, mode });
                 }
                 return LockOutcome::Granted;
             }
             Some(LockMode::Read) if mode == LockMode::Read => {
-                self.grants += 1;
                 if self.trace {
                     self.journal.push(LockEvent::Granted { txn, object, mode });
                 }
@@ -309,8 +302,6 @@ impl LockTable {
                             h.1 = LockMode::Write;
                         }
                     }
-                    self.grants += 1;
-                    self.upgrades += 1;
                     if self.trace {
                         self.journal.push(LockEvent::Upgraded { txn, object });
                     }
@@ -358,7 +349,6 @@ impl LockTable {
                 .entry(txn)
                 .or_insert_with(|| std::mem::take(&mut self.scratch_objs))
                 .push(object);
-            self.grants += 1;
             if self.trace {
                 self.journal.push(LockEvent::Granted { txn, object, mode });
             }
@@ -547,16 +537,6 @@ impl LockTable {
             .unwrap_or(&[])
     }
 
-    /// Number of requests granted so far (including re-grants and upgrades).
-    pub fn grant_count(&self) -> u64 {
-        self.grants
-    }
-
-    /// Number of read-to-write upgrades granted in place.
-    pub fn upgrade_count(&self) -> u64 {
-        self.upgrades
-    }
-
     /// Internal invariant check for tests: no two holders conflict, every
     /// holder set is consistent with `held_by`, and no granted transaction
     /// is also queued on the same object.
@@ -676,7 +656,6 @@ impl LockTable {
                         h.1 = LockMode::Write;
                     }
                 }
-                self.upgrades += 1;
             } else {
                 state.holders.push((w.txn, w.mode));
                 self.held_by
@@ -685,7 +664,6 @@ impl LockTable {
                     .push(object);
             }
             self.waiting_on.remove(&w.txn);
-            self.grants += 1;
             if self.trace {
                 self.journal.push(if w.upgrade {
                     LockEvent::Upgraded { txn: w.txn, object }
@@ -831,7 +809,6 @@ mod tests {
             LockOutcome::Granted
         );
         assert_eq!(lt.held_mode(TxnId(1), o), Some(LockMode::Write));
-        assert_eq!(lt.upgrade_count(), 1);
     }
 
     #[test]

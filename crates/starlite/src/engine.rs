@@ -5,10 +5,16 @@
 //! The queue behind [`Scheduler`] is [`crate::queue::HeapQueue`]: a
 //! binary min-heap of three-word `(time, sequence, handle)` keys plus a
 //! sorted *lane*, a FIFO that takes every key at or after its own last
-//! key. The arrivals the simulators pre-schedule in time order stay in the
-//! lane, so the heap holds only the few events in flight. Payloads live in
-//! a slab addressed by generation-tagged handles, so cancellation is an
-//! O(1) slot invalidation.
+//! key. Keys scheduled in time order, such as the simulators' deadline
+//! timers, stay in the lane, so the heap holds only the few events in
+//! flight. Payloads live in a slab addressed by generation-tagged
+//! handles, so cancellation is an O(1) slot invalidation.
+//!
+//! [`Scheduler::reserve`] and [`Scheduler::schedule_reserved`] let a model
+//! schedule a chain of events one at a time under sequence numbers taken
+//! up front, so each ties with same-time events as if the whole chain had
+//! been scheduled at the reservation. The simulators chain their arrivals
+//! this way instead of queueing all of them before the run.
 //!
 //! # Determinism
 //!
@@ -79,6 +85,24 @@ impl<E> Scheduler<E> {
     /// Panics if `at` is in the past; the clock is monotone.
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
         self.queue.schedule(at, event)
+    }
+
+    /// Reserves the next `n` sequence numbers and returns the first, so
+    /// that a chain of events can be scheduled one at a time yet tie with
+    /// other same-time events as if all had been scheduled now.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        self.queue.reserve(n)
+    }
+
+    /// Schedules `event` to fire at `at` under `seq`, a sequence number
+    /// taken by [`Scheduler::reserve`]. Each reserved number may be used
+    /// once, and `(at, seq)` must sort after the event firing now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past or `seq` was never reserved.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) -> EventId {
+        self.queue.schedule_reserved(at, seq, event)
     }
 
     /// Schedules `event` to fire `after` from now.
@@ -406,6 +430,69 @@ mod tests {
                 (30, "arrival")
             ]
         );
+    }
+
+    #[test]
+    fn chained_arrivals_tie_as_if_prescheduled() {
+        // The arrivals above, chained instead: each schedules the next
+        // under a sequence number reserved before the run. The first one
+        // schedules the follow-up for the second one's tick before it
+        // schedules the second arrival, yet the arrival must fire first.
+        struct Chained {
+            times: [u64; 3],
+            first_seq: u64,
+            order: Vec<(u64, &'static str)>,
+        }
+        enum AEv {
+            Arrival(usize),
+            FollowUp,
+        }
+        impl Model for Chained {
+            type Event = AEv;
+            fn handle(&mut self, ev: AEv, sched: &mut Scheduler<AEv>) {
+                let now = sched.now().ticks();
+                match ev {
+                    AEv::Arrival(i) => {
+                        self.order.push((now, "arrival"));
+                        if i == 0 {
+                            sched.schedule(SimTime::from_ticks(20), AEv::FollowUp);
+                        }
+                        if let Some(&at) = self.times.get(i + 1) {
+                            let seq = self.first_seq + i as u64 + 1;
+                            sched.schedule_reserved(SimTime::from_ticks(at), seq, AEv::Arrival(i + 1));
+                        }
+                    }
+                    AEv::FollowUp => self.order.push((now, "follow-up")),
+                }
+            }
+        }
+        let mut eng = Engine::new(Chained {
+            times: [10, 20, 30],
+            first_seq: 0,
+            order: vec![],
+        });
+        let first_seq = eng.scheduler_mut().reserve(3);
+        eng.model_mut().first_seq = first_seq;
+        eng.scheduler_mut()
+            .schedule_reserved(SimTime::from_ticks(10), first_seq, AEv::Arrival(0));
+        eng.run_to_completion(None);
+        assert_eq!(
+            eng.model().order,
+            vec![
+                (10, "arrival"),
+                (20, "arrival"),
+                (20, "follow-up"),
+                (30, "arrival")
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "was not reserved")]
+    fn scheduling_under_an_unreserved_number_panics() {
+        let mut eng = Engine::new(Recorder::default());
+        eng.scheduler_mut()
+            .schedule_reserved(SimTime::from_ticks(1), 0, Ev::Tag(0));
     }
 
     #[test]

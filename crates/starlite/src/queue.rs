@@ -1,23 +1,29 @@
 //! The event queue behind [`crate::Scheduler`]: a binary heap plus a
-//! sorted arrival lane.
+//! sorted lane.
 //!
 //! [`HeapQueue`] keeps its three-word keys in two containers. The *lane*
-//! is a FIFO that takes every schedule whose time is at or after the
-//! lane's last key; every other schedule goes into a binary min-heap.
-//! Both simulators schedule every transaction's arrival, in time order,
-//! before the run starts. Those arrivals are only a few per cent of all
-//! schedules but nearly the whole pending set, and they all stay in the
-//! lane, so the heap holds only the handful of completions and deadlines
-//! in flight. Popping takes whichever of the two heads is smaller.
+//! is a FIFO that takes every key sorting at or after the lane's last
+//! key; every other key goes into a binary min-heap. Popping takes
+//! whichever of the two heads is smaller. Keys scheduled in time order
+//! stay in the lane: in the simulators those are mostly the deadline
+//! timers, each a fixed slack after its transaction's arrival, so the
+//! heap holds only the next arrival and the completions in flight.
+//!
+//! A key's sequence number is normally the next one, but
+//! [`HeapQueue::reserve`] can hand out a block of numbers for events
+//! scheduled later with [`HeapQueue::schedule_reserved`]. The simulators
+//! chain their arrivals that way: one number per transaction is reserved
+//! before the run, and each arrival schedules the next under its number.
 //!
 //! # Determinism
 //!
 //! Events fire in `(time, sequence)` order — a total order, since sequence
-//! numbers are unique. The lane is sorted in that order: sequence numbers
-//! grow with every schedule, so a key whose time is at or after the lane's
-//! last key also follows it in `(time, sequence)`. The smaller of the two
-//! heads is therefore the earliest pending key, and which container a key
-//! went to never changes when it fires.
+//! numbers are unique. The lane is sorted in that order, because a key
+//! joins it only when its whole `(time, sequence)` key sorts after the
+//! lane's back; a reserved key at the back's time but with a smaller
+//! sequence number goes to the heap. The smaller of the two heads is
+//! therefore the earliest pending key, and which container a key went to
+//! never changes when it fires.
 //!
 //! Cancellation is O(1) via generation-tagged slab handles: it vacates the
 //! slot and leaves the key behind as a *tombstone*, which is skipped when
@@ -142,14 +148,14 @@ struct Counters {
     purged: u64,
 }
 
-/// The engine's event queue: a binary min-heap plus a sorted arrival lane.
+/// The engine's event queue: a binary min-heap plus a sorted lane.
 ///
 /// See the [module docs](self) for the layout and the ordering argument.
-/// Scheduling appends a three-word [`QueueKey`] to the lane when it sorts
-/// at or after the lane's last key and pushes it onto the heap otherwise;
-/// cancellation invalidates the slab slot and leaves the key behind as a
-/// tombstone; popping skips tombstones by comparing the key's generation
-/// against the slot's.
+/// Scheduling appends a three-word `(time, sequence, handle)` key to the
+/// lane when it sorts at or after the lane's last key and pushes it onto
+/// the heap otherwise; cancellation invalidates the slab slot and leaves
+/// the key behind as a tombstone; popping skips tombstones by comparing
+/// the key's generation against the slot's.
 pub struct HeapQueue<E> {
     clock: SimTime,
     heap: BinaryHeap<Reverse<QueueKey>>,
@@ -206,20 +212,51 @@ impl<E> HeapQueue<E> {
     ///
     /// Panics if `at` is in the past; the clock is monotone.
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+        let seq = self.reserve(1);
+        self.insert(at, seq, event)
+    }
+
+    /// Reserves the next `n` sequence numbers and returns the first. An
+    /// event later scheduled under one of them with
+    /// [`Self::schedule_reserved`] ties with same-time events as if it
+    /// had been scheduled now: after those scheduled before the
+    /// reservation, before those scheduled after it.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.counters.next_seq;
+        self.counters.next_seq += n;
+        first
+    }
+
+    /// Schedules `event` to fire at `at` under `seq`, a sequence number
+    /// taken by [`Self::reserve`]. Each reserved number may be used once,
+    /// and the key `(at, seq)` must sort after the event firing now, so
+    /// that events keep firing in `(time, sequence)` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past or `seq` was never handed out.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) -> EventId {
+        assert!(
+            seq < self.counters.next_seq,
+            "sequence number {seq} was not reserved"
+        );
+        self.insert(at, seq, event)
+    }
+
+    /// Files `event` under the key `(at, seq)`: at the lane's back when
+    /// the key sorts at or after it, which keeps the lane sorted by
+    /// `(time, seq)`, and into the heap otherwise.
+    fn insert(&mut self, at: SimTime, seq: u64, event: E) -> EventId {
         assert!(
             at >= self.clock,
             "cannot schedule an event in the past ({at} < {})",
             self.clock
         );
-        let seq = self.counters.next_seq;
-        self.counters.next_seq += 1;
         let id = self.slab.insert(event);
         self.counters.scheduled += 1;
         let key = QueueKey { at, seq, id };
-        // `seq` exceeds every queued sequence, so `at >= back.at` alone
-        // keeps the lane sorted by `(time, seq)`.
         match self.lane.back() {
-            Some(back) if at < back.at => self.heap.push(Reverse(key)),
+            Some(back) if key < *back => self.heap.push(Reverse(key)),
             _ => self.lane.push_back(key),
         }
         debug_assert_eq!(self.key_count(), self.slab.live + self.stale_keys);

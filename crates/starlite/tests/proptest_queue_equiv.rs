@@ -1,22 +1,29 @@
 //! Lockstep of the engine's event queue against a flat-list reference.
 //!
 //! `HeapQueue` keeps its keys in a binary heap and a *lane*: a FIFO that
-//! takes every schedule at or after the lane's last key. This test drives
-//! it through the raw queue API beside a reference that keeps every event
-//! in one list and fires the alive one with the smallest `(time,
-//! scheduling order)`, and compares every observation: peeked times,
-//! popped payloads, the clock, pending checks, cancel outcomes and counts.
+//! takes every key sorting at or after the lane's last key. This test
+//! drives it through the raw queue API beside a reference that keeps
+//! every event in one list and fires the alive one with the smallest
+//! `(time, sequence number)`, and compares every observation: peeked
+//! times, popped payloads, the clock, pending checks, cancel outcomes and
+//! counts. A plain schedule takes the next sequence number; a reserved
+//! one takes a number handed out earlier, so it can sort before keys
+//! scheduled after the reservation.
 //!
 //! The generator aims at the lane on purpose. Each case starts with a
-//! time-sorted run, the shape of the arrivals the simulators pre-schedule,
-//! and later ops add more runs, schedule just below, at and above the last
-//! run's final key, tie with the firing time of a pending event, cancel
-//! the next event and the front of the last run (the lane head while the
-//! run is in the lane), cancel storms that trip the tombstone purge while
-//! the lane holds tombstones, cancels of the latest events that purge the
-//! lane's tail away (so a later schedule joins the lane at the tick of an
-//! earlier heap key), and horizon-bounded drains followed by new
-//! schedules.
+//! time-sorted run, and later ops add more runs, schedule just below, at
+//! and above the last run's final key, tie with the firing time of a
+//! pending event, cancel the next event and the front of the last run
+//! (the lane head while the run is in the lane), cancel storms that trip
+//! the tombstone purge while the lane holds tombstones, cancels of the
+//! latest events that purge the lane's tail away (so a later schedule
+//! joins the lane at the tick of an earlier heap key), and
+//! horizon-bounded drains followed by new schedules. Reservations come
+//! in two shapes: free reserved numbers scheduled at the latest pending
+//! time (the lane's back, with a smaller number), at another pending
+//! event's time or ahead of now; and chains in the shape of the
+//! simulators' arrivals, where each link is scheduled under its reserved
+//! number when the link before it fires.
 
 use proptest::prelude::*;
 use starlite::{EventId, HeapQueue, SimTime};
@@ -24,9 +31,13 @@ use starlite::{EventId, HeapQueue, SimTime};
 /// Reference queue: one append-only list, scanned linearly. An event's
 /// tag is its index, i.e. its scheduling order.
 struct RefQueue {
-    /// `(firing time, alive)`; alive until fired or cancelled.
-    events: Vec<(u64, bool)>,
+    /// `(firing time, sequence number, alive)`; alive until fired or
+    /// cancelled.
+    events: Vec<(u64, u64, bool)>,
+    next_seq: u64,
     now: u64,
+    /// Sequence number of the event fired last.
+    last_seq: Option<u64>,
     executed: u64,
     cancelled: u64,
 }
@@ -35,23 +46,35 @@ impl RefQueue {
     fn new() -> Self {
         RefQueue {
             events: Vec::new(),
+            next_seq: 0,
             now: 0,
+            last_seq: None,
             executed: 0,
             cancelled: 0,
         }
     }
 
     fn schedule(&mut self, at: u64) -> u32 {
-        self.events.push((at, true));
+        let seq = self.reserve(1);
+        self.schedule_reserved(at, seq)
+    }
+
+    fn reserve(&mut self, n: u64) -> u64 {
+        self.next_seq += n;
+        self.next_seq - n
+    }
+
+    fn schedule_reserved(&mut self, at: u64, seq: u64) -> u32 {
+        self.events.push((at, seq, true));
         (self.events.len() - 1) as u32
     }
 
     fn is_pending(&self, tag: u32) -> bool {
-        self.events[tag as usize].1
+        self.events[tag as usize].2
     }
 
     fn cancel(&mut self, tag: u32) -> bool {
-        let alive = std::mem::replace(&mut self.events[tag as usize].1, false);
+        let alive = std::mem::replace(&mut self.events[tag as usize].2, false);
         self.cancelled += u64::from(alive);
         alive
     }
@@ -61,18 +84,34 @@ impl RefQueue {
         (0..self.events.len() as u32).filter(|&t| self.is_pending(t))
     }
 
-    /// `(firing time, tag)` of the next event: the first alive index with
-    /// the minimal time.
+    /// `(firing time, tag)` of the next event: the alive one with the
+    /// smallest `(time, sequence number)`.
     fn next(&self) -> Option<(u64, u32)> {
-        self.alive().map(|t| (self.events[t as usize].0, t)).min()
+        let (at, _, tag) = self
+            .alive()
+            .map(|t| (self.events[t as usize].0, self.events[t as usize].1, t))
+            .min()?;
+        Some((at, tag))
     }
 
     fn pop(&mut self) -> Option<u32> {
         let (at, tag) = self.next()?;
-        self.events[tag as usize].1 = false;
+        self.events[tag as usize].2 = false;
         self.now = at;
+        self.last_seq = Some(self.events[tag as usize].1);
         self.executed += 1;
         Some(tag)
+    }
+
+    /// The earliest time at or after `at` at which a key under `seq`
+    /// still sorts after the event fired last.
+    fn due_after_last(&self, at: u64, seq: u64) -> u64 {
+        let at = at.max(self.now);
+        if at == self.now && self.last_seq.is_some_and(|last| seq < last) {
+            at + 1
+        } else {
+            at
+        }
     }
 }
 
@@ -105,6 +144,17 @@ enum Op {
     CancelLatest { n: usize },
     /// Fire everything due within `delta` ticks, peeking one event past.
     Drain { delta: u64 },
+    /// Reserve `n` sequence numbers for later `ScheduleReserved` ops.
+    Reserve { n: u64 },
+    /// Schedule under a free reserved number picked by `pick`: at the
+    /// latest pending firing time (`side` 0), at the firing time of a
+    /// pending event picked by `d` (1), or `d` ticks from now (2).
+    ScheduleReserved { pick: u64, side: u8, d: u64 },
+    /// Start an arrival-shaped chain: reserve one number per link (link
+    /// times ascend from `start` ticks from now by `gaps`), schedule the
+    /// first link, and schedule each later link when the one before it
+    /// fires. Replaces the links an earlier chain has left.
+    Chain { start: u64, gaps: Vec<u64> },
 }
 
 fn sorted_run(len: std::ops::Range<usize>) -> impl Strategy<Value = Op> {
@@ -125,6 +175,11 @@ fn op() -> impl Strategy<Value = Op> {
         1 => (2u64..8).prop_map(|keep| Op::CancelStorm { keep }),
         1 => (1usize..120).prop_map(|n| Op::CancelLatest { n }),
         3 => (0u64..60).prop_map(|delta| Op::Drain { delta }),
+        1 => (1u64..6).prop_map(|n| Op::Reserve { n }),
+        3 => (any::<u64>(), 0u8..3, 0u64..40)
+            .prop_map(|(pick, side, d)| Op::ScheduleReserved { pick, side, d }),
+        1 => (0u64..50, prop::collection::vec(0u64..4, 1..60))
+            .prop_map(|(start, gaps)| Op::Chain { start, gaps }),
     ]
 }
 
@@ -137,12 +192,37 @@ struct Lockstep {
     /// Tags and final time of the last sorted run.
     run: std::ops::Range<u32>,
     run_end: u64,
+    /// Reserved sequence numbers not used yet.
+    reserved: Vec<u64>,
+    /// The chain's link now scheduled, and its later links as `(time,
+    /// reserved number)`, earliest last.
+    chain_link: Option<u32>,
+    chain: Vec<(u64, u64)>,
 }
 
 impl Lockstep {
     fn schedule(&mut self, at: u64) -> Result<(), TestCaseError> {
         let tag = self.reference.schedule(at);
         let id = self.queue.schedule(SimTime::from_ticks(at), tag);
+        self.issued(tag, id)
+    }
+
+    fn reserve(&mut self, n: u64) -> Result<std::ops::Range<u64>, TestCaseError> {
+        let first = self.queue.reserve(n);
+        prop_assert_eq!(first, self.reference.reserve(n));
+        Ok(first..first + n)
+    }
+
+    fn schedule_reserved(&mut self, at: u64, seq: u64) -> Result<u32, TestCaseError> {
+        let tag = self.reference.schedule_reserved(at, seq);
+        let id = self
+            .queue
+            .schedule_reserved(SimTime::from_ticks(at), seq, tag);
+        self.issued(tag, id)?;
+        Ok(tag)
+    }
+
+    fn issued(&mut self, tag: u32, id: EventId) -> Result<(), TestCaseError> {
         prop_assert_eq!(self.ids.len(), tag as usize);
         self.ids.push(id);
         Ok(())
@@ -173,8 +253,15 @@ impl Lockstep {
                 (Some(at), Some(h)) if at > h => return Ok(()),
                 _ => {}
             }
-            prop_assert_eq!(self.queue.pop_next(), self.reference.pop());
+            let tag = self.reference.pop();
+            prop_assert_eq!(self.queue.pop_next(), tag);
             prop_assert_eq!(self.queue.now().ticks(), self.reference.now);
+            if tag.is_some() && tag == self.chain_link {
+                self.chain_link = None;
+                if let Some((at, seq)) = self.chain.pop() {
+                    self.chain_link = Some(self.schedule_reserved(at, seq)?);
+                }
+            }
         }
     }
 
@@ -256,6 +343,44 @@ impl Lockstep {
                 }
             }
             Op::Drain { delta } => self.drain(Some(now + delta))?,
+            Op::Reserve { n } => {
+                let range = self.reserve(n)?;
+                self.reserved.extend(range);
+            }
+            Op::ScheduleReserved { pick, side, d } => {
+                if !self.reserved.is_empty() {
+                    let seq = self
+                        .reserved
+                        .swap_remove((pick % self.reserved.len() as u64) as usize);
+                    let pending: Vec<u64> = self
+                        .reference
+                        .alive()
+                        .map(|t| self.reference.events[t as usize].0)
+                        .collect();
+                    let at = match (side, pending.len()) {
+                        (_, 0) | (2, _) => now + d,
+                        (0, _) => pending.iter().copied().max().unwrap_or(now),
+                        (_, n) => pending[(d % n as u64) as usize],
+                    };
+                    let at = self.reference.due_after_last(at, seq);
+                    self.schedule_reserved(at, seq)?;
+                }
+            }
+            Op::Chain { start, gaps } => {
+                let seqs = self.reserve(gaps.len() as u64)?;
+                let mut at = now + start;
+                self.chain = gaps
+                    .iter()
+                    .zip(seqs)
+                    .map(|(gap, seq)| {
+                        at += gap;
+                        (at, seq)
+                    })
+                    .collect();
+                self.chain.reverse();
+                let (at, seq) = self.chain.pop().expect("a chain has a link");
+                self.chain_link = Some(self.schedule_reserved(at, seq)?);
+            }
         }
         prop_assert_eq!(self.queue.pending_count(), self.reference.alive().count());
         prop_assert!(self.queue.key_count() >= self.queue.pending_count());
@@ -275,6 +400,9 @@ proptest! {
             ids: Vec::new(),
             run: 0..0,
             run_end: 0,
+            reserved: Vec::new(),
+            chain_link: None,
+            chain: Vec::new(),
         };
         s.apply(first)?;
         for op in ops {
@@ -327,4 +455,23 @@ fn purge_of_lane_tail_keeps_tie_order() {
     let mut expect: Vec<(u64, u32)> = (16..=50).map(|i| (100 + u64::from(i), i)).collect();
     expect.extend([(150, 100), (150, 101)]);
     assert_eq!(fired, expect);
+}
+
+/// Directed: a reserved key at the lane's back time but with a smaller
+/// sequence number sorts before the back, so it must go to the heap and
+/// fire first at that tick; appended to the lane, it would fire last.
+#[test]
+fn reserved_key_below_lane_back_fires_first() {
+    let mut q: HeapQueue<u32> = HeapQueue::new();
+    let seq = q.reserve(1);
+    q.schedule(SimTime::from_ticks(10), 0);
+    q.schedule(SimTime::from_ticks(20), 1);
+    q.schedule_reserved(SimTime::from_ticks(20), seq, 2);
+    assert_eq!(q.key_count(), 3);
+
+    let mut fired = Vec::new();
+    while let Some(tag) = q.pop_next() {
+        fired.push((q.now().ticks(), tag));
+    }
+    assert_eq!(fired, vec![(10, 0), (20, 2), (20, 1)]);
 }

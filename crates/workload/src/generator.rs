@@ -76,39 +76,57 @@ impl<'a> Generator<'a> {
         Generator { spec, catalog }
     }
 
-    /// Generates the full transaction stream, sorted by arrival time.
+    /// Generates the full transaction stream, sorted by arrival time:
+    /// aperiodic transactions first, then each periodic task's instances,
+    /// with same-tick arrivals kept in that generation order.
     ///
-    /// Transaction ids are assigned after sorting, so id order equals
-    /// arrival order — useful for debugging, never relied upon by the
-    /// protocols.
+    /// Each transaction is built once, straight into the returned list,
+    /// with both access sets at exact capacity. Transaction ids are
+    /// assigned after sorting, so id order equals arrival order — useful
+    /// for debugging, never relied upon by the protocols.
     pub fn generate(&self, seed: u64) -> Vec<TxnSpec> {
         let mut rng = RandomSource::new(seed);
         let mut aperiodic_rng = rng.split();
         let mut periodic_rng = rng.split();
 
-        let mut raw: Vec<RawTxn> = Vec::new();
-        self.generate_aperiodic(&mut aperiodic_rng, &mut raw);
-        self.generate_periodic(&mut periodic_rng, &mut raw);
+        let instances: usize = self
+            .spec
+            .periodic
+            .iter()
+            .map(|t| t.instances as usize)
+            .sum();
+        let mut txns = Vec::with_capacity(self.spec.txn_count as usize + instances);
+        self.generate_aperiodic(&mut aperiodic_rng, &mut txns);
+        self.generate_periodic(&mut periodic_rng, &mut txns);
 
-        // Sort by arrival (stable tie-break by generation order), then
-        // assign ids.
-        raw.sort_by_key(|t| t.arrival);
-        raw.into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                TxnSpec::new(
-                    TxnId(i as u64),
-                    t.arrival,
-                    t.read_set,
-                    t.write_set,
-                    t.arrival + self.spec.deadline.offset(t.size),
-                    t.site,
-                )
-            })
-            .collect()
+        // Until now each id is the generation index, so sorting on it
+        // breaks arrival ties in generation order without the buffer a
+        // stable sort allocates.
+        txns.sort_unstable_by_key(|t| (t.arrival, t.id));
+        for (i, t) in txns.iter_mut().enumerate() {
+            t.id = TxnId(i as u64);
+        }
+        txns
     }
 
-    fn generate_aperiodic(&self, rng: &mut RandomSource, out: &mut Vec<RawTxn>) {
+    /// Appends a transaction whose id is its generation index.
+    fn push(
+        &self,
+        out: &mut Vec<TxnSpec>,
+        arrival: SimTime,
+        read_set: Vec<ObjectId>,
+        write_set: Vec<ObjectId>,
+        site: SiteId,
+    ) {
+        let size = (read_set.len() + write_set.len()) as u32;
+        let deadline = arrival + self.spec.deadline.offset(size);
+        let id = TxnId(out.len() as u64);
+        out.push(TxnSpec::new(
+            id, arrival, read_set, write_set, deadline, site,
+        ));
+    }
+
+    fn generate_aperiodic(&self, rng: &mut RandomSource, out: &mut Vec<TxnSpec>) {
         let mut clock = SimTime::ZERO;
         for _ in 0..self.spec.txn_count {
             clock += rng.exponential(self.spec.mean_interarrival);
@@ -128,27 +146,16 @@ impl<'a> Generator<'a> {
             } else {
                 self.place_update(rng, size)
             };
-            out.push(RawTxn {
-                arrival: clock,
-                read_set,
-                write_set,
-                size,
-                site,
-            });
+            self.push(out, clock, read_set, write_set, site);
         }
     }
 
-    fn generate_periodic(&self, _rng: &mut RandomSource, out: &mut Vec<RawTxn>) {
+    fn generate_periodic(&self, _rng: &mut RandomSource, out: &mut Vec<TxnSpec>) {
         for task in &self.spec.periodic {
             for k in 0..task.instances {
                 let arrival = SimTime::ZERO + task.period * k as u64;
-                out.push(RawTxn {
-                    arrival,
-                    read_set: task.read_set.clone(),
-                    write_set: task.write_set.clone(),
-                    size: task.size() as u32,
-                    site: task.site,
-                });
+                let (reads, writes) = (task.read_set.clone(), task.write_set.clone());
+                self.push(out, arrival, reads, writes, task.site);
             }
         }
     }
@@ -168,10 +175,7 @@ impl<'a> Generator<'a> {
 
     /// Objects drawn uniformly from the whole database.
     fn sample_objects(&self, rng: &mut RandomSource, n: usize) -> Vec<ObjectId> {
-        rng.sample_distinct(n, self.catalog.db_size() as u64)
-            .into_iter()
-            .map(|v| ObjectId(v as u32))
-            .collect()
+        object_ids(&rng.sample_distinct(n, self.catalog.db_size() as u64))
     }
 
     /// Places an update transaction: pick a home site, draw its writes
@@ -188,9 +192,9 @@ impl<'a> Generator<'a> {
         let reads = size - writes;
 
         if self.catalog.placement() == Placement::SingleSite {
-            let mut objs = self.sample_objects(rng, size);
-            let write_set = objs.split_off(reads);
-            return (SiteId(0), objs, write_set);
+            let objs = rng.sample_distinct(size, self.catalog.db_size() as u64);
+            let (read_set, write_set) = objs.split_at(reads);
+            return (SiteId(0), object_ids(read_set), object_ids(write_set));
         }
 
         let site = self.random_site(rng);
@@ -201,10 +205,7 @@ impl<'a> Generator<'a> {
         );
         // Draw writes from the site's primaries.
         let write_idx = rng.sample_distinct(writes, primaries.len() as u64);
-        let write_set: Vec<ObjectId> = write_idx
-            .into_iter()
-            .map(|i| primaries[i as usize])
-            .collect();
+        let write_set: Vec<ObjectId> = write_idx.iter().map(|&i| primaries[i as usize]).collect();
         // Draw reads from the remaining objects (any site; local replicas
         // serve them).
         let mut read_set = Vec::with_capacity(reads);
@@ -219,12 +220,10 @@ impl<'a> Generator<'a> {
     }
 }
 
-struct RawTxn {
-    arrival: SimTime,
-    read_set: Vec<ObjectId>,
-    write_set: Vec<ObjectId>,
-    size: u32,
-    site: SiteId,
+/// Object ids for sampled values, in an exactly sized vector (collecting
+/// from the sample's own buffer would keep its larger capacity).
+fn object_ids(values: &[u64]) -> Vec<ObjectId> {
+    values.iter().map(|&v| ObjectId(v as u32)).collect()
 }
 
 #[cfg(test)]
