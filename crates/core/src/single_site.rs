@@ -300,6 +300,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "duplicate transaction id")]
+    fn duplicate_ids_panic() {
+        let txns = vec![
+            spec(4, 0, 1_000, vec![1], vec![]),
+            spec(4, 5, 1_000, vec![2], vec![]),
+        ];
+        run_transactions(config(ProtocolKind::PriorityCeiling), &catalog(), txns);
+    }
+
+    #[test]
+    fn empty_list_runs_no_events() {
+        let report = run_transactions(config(ProtocolKind::PriorityCeiling), &catalog(), vec![]);
+        assert_eq!(report.events, 0);
+        assert_eq!(report.stats.processed, 0);
+    }
+
+    #[test]
     fn generated_workload_runs_deterministically() {
         let cat = catalog();
         let workload = WorkloadSpec::builder()

@@ -459,7 +459,11 @@ mod tests {
                         }
                         if let Some(&at) = self.times.get(i + 1) {
                             let seq = self.first_seq + i as u64 + 1;
-                            sched.schedule_reserved(SimTime::from_ticks(at), seq, AEv::Arrival(i + 1));
+                            sched.schedule_reserved(
+                                SimTime::from_ticks(at),
+                                seq,
+                                AEv::Arrival(i + 1),
+                            );
                         }
                     }
                     AEv::FollowUp => self.order.push((now, "follow-up")),
