@@ -204,7 +204,7 @@ impl Lockstep {
     fn schedule(&mut self, at: u64) -> Result<(), TestCaseError> {
         let tag = self.reference.schedule(at);
         let id = self.queue.schedule(SimTime::from_ticks(at), tag);
-        self.issued(tag, id)
+        self.record_id(tag, id)
     }
 
     fn reserve(&mut self, n: u64) -> Result<std::ops::Range<u64>, TestCaseError> {
@@ -218,11 +218,11 @@ impl Lockstep {
         let id = self
             .queue
             .schedule_reserved(SimTime::from_ticks(at), seq, tag);
-        self.issued(tag, id)?;
+        self.record_id(tag, id)?;
         Ok(tag)
     }
 
-    fn issued(&mut self, tag: u32, id: EventId) -> Result<(), TestCaseError> {
+    fn record_id(&mut self, tag: u32, id: EventId) -> Result<(), TestCaseError> {
         prop_assert_eq!(self.ids.len(), tag as usize);
         self.ids.push(id);
         Ok(())
