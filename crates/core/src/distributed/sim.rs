@@ -100,7 +100,9 @@ const MANAGER: SiteId = SiteId(0);
 
 #[derive(Debug, Clone)]
 enum Message {
-    RegisterTxn(TxnSpec),
+    /// Home → manager: register the transaction's declared access sets,
+    /// which the manager reads from the spec store.
+    RegisterTxn(TxnId),
     LockRequest {
         txn: TxnId,
         object: ObjectId,
@@ -316,11 +318,10 @@ impl Driver for Messaging {
             e.start(txn, sched);
             return;
         }
-        // The registration message needs an owned copy of the spec.
-        let spec = e.specs[txn].clone();
-        let home = spec.home_site;
-        e.rpc(txn).priority = Some(spec.base_priority());
-        e.send(home, MANAGER, Message::RegisterTxn(spec), sched);
+        let spec = &e.specs[txn];
+        let (home, priority) = (spec.home_site, spec.base_priority());
+        e.rpc(txn).priority = Some(priority);
+        e.send(home, MANAGER, Message::RegisterTxn(txn), sched);
         e.advance_global(txn, sched);
     }
 
@@ -570,7 +571,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
     ) {
         for &s in sites {
             let writes = if commit {
-                self.specs[txn].write_set.clone()
+                self.specs[txn].write_set().to_vec()
             } else {
                 Vec::new()
             };
@@ -874,8 +875,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         if self.driver.faults_active {
             // The lost message may have been the registration itself;
             // the manager ignores a duplicate.
-            let spec = self.specs[txn].clone();
-            self.send(home, MANAGER, Message::RegisterTxn(spec), sched);
+            self.send(home, MANAGER, Message::RegisterTxn(txn), sched);
         }
         self.request_lock(txn, attempt.min(MAX_BACKOFF_SHIFT), sched);
     }
@@ -886,12 +886,12 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
     fn commit_global(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
         let spec = &self.specs[txn];
         let home = spec.home_site;
-        if spec.write_set.is_empty() {
+        if spec.write_set().is_empty() {
             self.finalize_global(txn, sched);
             return;
         }
         let mut participant_sites: Vec<SiteId> = spec
-            .write_set
+            .write_set()
             .iter()
             .map(|&o| self.driver.catalog.primary_site(o))
             .collect();
@@ -983,9 +983,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         });
         spec.id = id;
         spec.arrival = now;
-        spec.read_set.clear();
-        spec.write_set.clear();
-        spec.write_set.push(apply.object);
+        spec.set_access(&[], &[apply.object]);
         spec.deadline = deadline;
         spec.home_site = site;
         let mut exec = self.take_exec(site, self.driver.config.apply_cost);
@@ -1041,7 +1039,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             return;
         };
         let spec = &self.specs[txn];
-        if !spec.write_set.is_empty() {
+        if !spec.write_set().is_empty() {
             return; // only read-only queries pin snapshots
         }
         let pin = spec.arrival;
@@ -1109,13 +1107,15 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
 
     fn on_message(&mut self, to: SiteId, msg: Message, sched: &mut Scheduler<Ev>) {
         match msg {
-            Message::RegisterTxn(spec) => {
+            Message::RegisterTxn(txn) => {
                 let pcp = &mut self.sites[MANAGER.index()].protocol;
                 // A retried registration may duplicate one that made it
                 // through, or arrive after the transaction already died;
-                // registering either would leak protocol state.
-                if self.exec.contains_key(&spec.id) && !pcp.is_registered(spec.id) {
-                    pcp.register(&spec);
+                // registering either would leak protocol state. A user
+                // transaction's slot is never overwritten, so the spec
+                // read here is the one the home site admitted.
+                if self.exec.contains_key(&txn) && !pcp.is_registered(txn) {
+                    pcp.register(&self.specs[txn]);
                 }
             }
             Message::LockRequest {

@@ -649,13 +649,13 @@ impl LockProtocol for PriorityCeilingProtocol {
     fn register(&mut self, spec: &TxnSpec) {
         let p = spec.base_priority();
         let mut reads = InlineVec::new();
-        reads.extend_from_slice(&spec.read_set);
+        reads.extend_from_slice(spec.read_set());
         reads.sort_unstable();
         let mut writes = InlineVec::new();
-        writes.extend_from_slice(&spec.write_set);
+        writes.extend_from_slice(spec.write_set());
         writes.sort_unstable();
-        let read_sig = set_signature(&spec.read_set);
-        let write_sig = set_signature(&spec.write_set);
+        let read_sig = set_signature(spec.read_set());
+        let write_sig = set_signature(spec.write_set());
         let prev = self.active.insert(
             spec.id,
             ActiveTxn {
@@ -668,11 +668,11 @@ impl LockProtocol for PriorityCeilingProtocol {
         assert!(prev.is_none(), "{} registered twice", spec.id);
         self.base.insert(spec.id, p);
         self.effective.insert(spec.id, p);
-        for &obj in &spec.write_set {
+        for &obj in spec.write_set() {
             self.writers.entry(obj).or_default().push((spec.id, p));
             self.accessors.entry(obj).or_default().push((spec.id, p));
         }
-        for &obj in &spec.read_set {
+        for &obj in spec.read_set() {
             self.accessors.entry(obj).or_default().push((spec.id, p));
         }
     }

@@ -27,8 +27,9 @@
 //!    and restarts from scratch (or aborts, when victims do not restart).
 //!
 //! The caller's transaction list is the run's only copy of each
-//! transaction: a [`SpecStore`] keeps it, sorted by arrival, behind a
-//! slot index by id, and the distributed simulator's system transactions
+//! transaction: a [`SpecStore`] keeps it, sorted by arrival, and finds a
+//! spec at the slot its id names or, for ids that differ from their slot,
+//! through an index; the distributed simulator's system transactions
 //! overwrite retired slots in place. Arrivals are chained rather than
 //! scheduled up front: [`run`] reserves one sequence number per
 //! transaction and schedules the first arrival, and each `Arrive`
@@ -321,13 +322,18 @@ pub(crate) trait Driver: Sized {
 }
 
 /// The run's transactions, each held once: the caller's list, sorted by
-/// arrival, then the slots system transactions take in turn. A slot index
-/// maps each id to its spec. User transactions keep their slots for the
-/// whole run, since their specs are read after they finish; a retired
-/// system transaction's slot is overwritten by the next one.
+/// arrival, then the slots system transactions take in turn. User
+/// transactions keep their slots for the whole run, since their specs are
+/// read after they finish; a retired system transaction's slot is
+/// overwritten by the next one.
+///
+/// A transaction whose id equals its slot (every transaction of a
+/// generated list) is found by reading that slot and checking the id
+/// there, and needs no index entry; only the others, hand-built lists and
+/// system transactions, are indexed.
 pub(crate) struct SpecStore {
     specs: Vec<TxnSpec>,
-    /// Each transaction's slot in `specs`.
+    /// The slot of each transaction whose id differs from it.
     slots: FxHashMap<TxnId, u32>,
     /// Length of the caller's list: the slots below it are the arrivals,
     /// in firing order.
@@ -349,10 +355,20 @@ impl SpecStore {
             txns.sort_by_key(|t| t.arrival);
         }
         let arrivals = u32::try_from(txns.len()).expect("more than u32::MAX transactions");
-        let mut slots = FxHashMap::with_capacity_and_hasher(txns.len(), Default::default());
+        let misplaced = (0..arrivals)
+            .zip(&txns)
+            .filter(|&(slot, t)| !at_own_slot(t.id, slot))
+            .count();
+        let mut slots = FxHashMap::with_capacity_and_hasher(misplaced, Default::default());
         for (slot, spec) in (0..arrivals).zip(&txns) {
+            if at_own_slot(spec.id, slot) {
+                // Any duplicate of this id sits at another slot, and the
+                // check below finds this one from there.
+                continue;
+            }
+            let shadowed = own_slot(&txns, spec.id).is_some();
             let prev = slots.insert(spec.id, slot);
-            assert!(prev.is_none(), "duplicate transaction id");
+            assert!(!shadowed && prev.is_none(), "duplicate transaction id");
         }
         SpecStore {
             specs: txns,
@@ -364,7 +380,9 @@ impl SpecStore {
 
     /// `txn`'s spec, if it has a slot.
     pub(crate) fn get(&self, txn: TxnId) -> Option<&TxnSpec> {
-        self.slots.get(&txn).map(|&slot| &self.specs[slot as usize])
+        let slot = own_slot(&self.specs, txn)
+            .or_else(|| self.slots.get(&txn).map(|&slot| slot as usize))?;
+        Some(&self.specs[slot])
     }
 
     /// Arrival `i` of the caller's list, in firing order.
@@ -384,6 +402,9 @@ impl SpecStore {
             self.specs.push(fresh());
             u32::try_from(self.specs.len() - 1).expect("more than u32::MAX specs")
         });
+        // Retiring removes the index entry, which a transaction found at
+        // its own slot would not have: its stale spec would still resolve.
+        assert!(!at_own_slot(txn, slot), "{txn} would sit at its own slot");
         let prev = self.slots.insert(txn, slot);
         debug_assert!(prev.is_none(), "{txn} already has a slot");
         &mut self.specs[slot as usize]
@@ -400,6 +421,17 @@ impl SpecStore {
     }
 }
 
+/// Whether `txn` at `slot` is found without an index entry.
+fn at_own_slot(txn: TxnId, slot: u32) -> bool {
+    txn.0 == u64::from(slot)
+}
+
+/// The slot numbered like `txn`, when `txn` sits in it.
+fn own_slot(specs: &[TxnSpec], txn: TxnId) -> Option<usize> {
+    let slot = usize::try_from(txn.0).ok()?;
+    (specs.get(slot)?.id == txn).then_some(slot)
+}
+
 impl std::ops::Index<TxnId> for SpecStore {
     type Output = TxnSpec;
 
@@ -407,7 +439,7 @@ impl std::ops::Index<TxnId> for SpecStore {
     ///
     /// Panics if `txn` has no slot.
     fn index(&self, txn: TxnId) -> &TxnSpec {
-        &self.specs[self.slots[&txn] as usize]
+        self.get(txn).unwrap_or_else(|| panic!("{txn} has no spec"))
     }
 }
 
@@ -728,7 +760,7 @@ impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
     pub(crate) fn reader_mode(&self, txn: TxnId) -> Option<ReaderMode> {
         let mode = self.policy.reader_mode?;
         let spec = self.specs.get(txn)?;
-        spec.write_set.is_empty().then_some(mode)
+        spec.write_set().is_empty().then_some(mode)
     }
 
     // ----- execution ----------------------------------------------------
@@ -864,7 +896,7 @@ impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
         let exec = &self.exec[&txn];
         let site = exec.site;
         let (lo, hi, mode) = if self.reader_mode(txn) == Some(ReaderMode::LatchScan) {
-            let reads = &self.specs[txn].read_set;
+            let reads = self.specs[txn].read_set();
             let lo = reads.iter().map(|o| o.0).min().expect("reader reads");
             let hi = reads.iter().map(|o| o.0).max().expect("reader reads");
             (ObjectId(lo), ObjectId(hi), LockMode::Read)
@@ -1376,5 +1408,61 @@ impl<S: EventSink<SimEvent>, D: Driver> SiteEngine<S, D> {
             stores: self.sites.into_iter().map(|s| s.store).collect(),
             temporal,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtdb::{Catalog, Placement};
+    use workload::{Generator, WorkloadSpec};
+
+    fn spec(id: u64, arrival: u64) -> TxnSpec {
+        TxnSpec::new(
+            TxnId(id),
+            SimTime::from_ticks(arrival),
+            vec![ObjectId(1)],
+            Vec::new(),
+            SimTime::from_ticks(arrival + 100),
+            SiteId(0),
+        )
+    }
+
+    /// Every id of `ids` resolves to its own spec.
+    fn assert_resolves(store: &SpecStore, ids: impl IntoIterator<Item = u64>) {
+        for id in ids {
+            assert_eq!(store.get(TxnId(id)).map(|s| s.id), Some(TxnId(id)));
+        }
+    }
+
+    #[test]
+    fn generated_list_builds_no_index() {
+        let catalog = Catalog::new(60, 3, Placement::FullyReplicated);
+        let workload = WorkloadSpec::builder().txn_count(200).build();
+        let store = SpecStore::new(Generator::new(&workload, &catalog).generate(5));
+        assert!(store.slots.is_empty());
+        assert_resolves(&store, 0..200);
+        assert!(store.get(TxnId(200)).is_none());
+    }
+
+    #[test]
+    fn reversed_hand_built_list_resolves_every_id() {
+        // Id 2 sits at its own slot; the other four need index entries.
+        let store = SpecStore::new((0..5).map(|i| spec(4 - i, i)).collect());
+        assert_eq!(store.slots.len(), 4);
+        assert_resolves(&store, 0..5);
+        assert_eq!(store.arrival(0).map(|s| s.id), Some(TxnId(4)));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate transaction id")]
+    fn duplicate_of_an_id_at_its_own_slot_panics() {
+        SpecStore::new(vec![spec(0, 0), spec(0, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate transaction id")]
+    fn duplicate_of_an_id_before_its_own_slot_panics() {
+        SpecStore::new(vec![spec(1, 0), spec(1, 1)]);
     }
 }

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use monitor::{Histogram, SimEvent};
-use rtdb::{Catalog, LockMode, ObjectId, Placement, TxnSpec};
+use rtdb::{Catalog, Placement, TxnSpec};
 use starlite::{SimDuration, SimTime};
 use workload::{Generator, SizeDistribution, WorkloadSpec};
 
@@ -312,7 +312,7 @@ pub fn run_live(config: &LiveConfig) -> LiveReport {
         restarts += stats.restarts;
         blocked_hist.merge(&stats.blocked_hist);
         for &idx in &stats.committed_idx {
-            for obj in &specs[idx].write_set {
+            for obj in specs[idx].write_set() {
                 expected[obj.0 as usize] += 1;
             }
         }
@@ -361,18 +361,11 @@ fn run_txn(
     let deadline = claimed + Duration::from_nanos(relative_ticks * TICK_NS);
     gate.register(gate.ticks_at(claimed), spec);
 
-    // Strict 2PL: reads first, then writes; an object in both sets is
-    // read-locked in the growing phase and upgraded at its write.
-    let plan: Vec<(ObjectId, LockMode)> = spec
-        .read_set
-        .iter()
-        .map(|&o| (o, LockMode::Read))
-        .chain(spec.write_set.iter().map(|&o| (o, LockMode::Write)))
-        .collect();
-
     let mut blocked_ticks = 0u64;
     let outcome = 'retry: loop {
-        for &(object, mode) in &plan {
+        // Strict 2PL: reads first, then writes; an object in both sets is
+        // read-locked in the growing phase and upgraded at its write.
+        for (object, mode) in spec.access_ops() {
             let now = Instant::now();
             if now >= deadline {
                 break 'retry TxnOutcome::Missed;
@@ -405,13 +398,13 @@ fn run_txn(
         // The increment is deliberately a non-atomic read-modify-write —
         // only write-lock exclusivity keeps it from losing updates, which
         // is exactly the property the final store comparison witnesses.
-        for obj in &spec.write_set {
+        for obj in spec.write_set() {
             let slot = &store[obj.0 as usize];
             let v = slot.load(Ordering::Relaxed);
             std::hint::spin_loop();
             slot.store(v + 1, Ordering::Relaxed);
         }
-        for obj in &spec.read_set {
+        for obj in spec.read_set() {
             std::hint::black_box(store[obj.0 as usize].load(Ordering::Relaxed));
         }
         break 'retry TxnOutcome::Committed;

@@ -45,13 +45,13 @@ impl GranuleScratch {
 
         self.write_granules.clear();
         self.write_granules
-            .extend(spec.write_set.iter().map(|&o| granule(o)));
+            .extend(spec.write_set().iter().map(|&o| granule(o)));
         self.write_granules.sort_unstable();
         self.write_granules.dedup();
 
         self.read_granules.clear();
         self.read_granules
-            .extend(spec.read_set.iter().map(|&o| granule(o)));
+            .extend(spec.read_set().iter().map(|&o| granule(o)));
         self.read_granules.sort_unstable();
         self.read_granules.dedup();
         let writes = &self.write_granules;
@@ -73,12 +73,7 @@ impl GranuleScratch {
         granule_spec.arrival = spec.arrival;
         granule_spec.deadline = spec.deadline;
         granule_spec.home_site = spec.home_site;
-        granule_spec.read_set.clear();
-        granule_spec.read_set.extend_from_slice(&self.read_granules);
-        granule_spec.write_set.clear();
-        granule_spec
-            .write_set
-            .extend_from_slice(&self.write_granules);
+        granule_spec.set_access(&self.read_granules, &self.write_granules);
     }
 }
 
@@ -104,9 +99,9 @@ mod tests {
     fn reference(spec: &TxnSpec, g: u32) -> (TxnSpec, Vec<(ObjectId, LockMode)>) {
         let granule = |o: ObjectId| ObjectId(o.0 / g);
         let write_granules: BTreeSet<ObjectId> =
-            spec.write_set.iter().map(|&o| granule(o)).collect();
+            spec.write_set().iter().map(|&o| granule(o)).collect();
         let read_granules: BTreeSet<ObjectId> = spec
-            .read_set
+            .read_set()
             .iter()
             .map(|&o| granule(o))
             .filter(|gr| !write_granules.contains(gr))

@@ -24,6 +24,12 @@ pub enum TxnKind {
 
 /// The immutable description of one transaction.
 ///
+/// Both access sets live in one buffer, the read set then the write set,
+/// read through [`TxnSpec::read_set`] and [`TxnSpec::write_set`]. The
+/// buffer is private, so the sets always pass the checks of
+/// [`TxnSpec::new`]: only the constructors and [`TxnSpec::set_access`]
+/// write them, and each checks them.
+///
 /// # Example
 ///
 /// ```
@@ -41,6 +47,7 @@ pub enum TxnKind {
 /// assert_eq!(spec.size(), 2);
 /// assert_eq!(spec.kind(), TxnKind::Update);
 /// assert!(spec.writes(ObjectId(7)));
+/// assert_eq!(spec.read_set(), [ObjectId(3)]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TxnSpec {
@@ -48,10 +55,11 @@ pub struct TxnSpec {
     pub id: TxnId,
     /// Time the transaction enters the system, ready to execute.
     pub arrival: SimTime,
-    /// Objects read but not written, in access order.
-    pub read_set: Vec<ObjectId>,
-    /// Objects written (each also read first), in access order.
-    pub write_set: Vec<ObjectId>,
+    /// Every object accessed, in access order: the read set, then the
+    /// write set.
+    objects: Vec<ObjectId>,
+    /// Length of the read set, the prefix of `objects`.
+    reads: u32,
     /// Hard deadline; missing it makes completion worthless.
     pub deadline: SimTime,
     /// Site where the transaction executes.
@@ -73,33 +81,76 @@ impl TxnSpec {
         deadline: SimTime,
         home_site: SiteId,
     ) -> Self {
-        assert!(
-            !(read_set.is_empty() && write_set.is_empty()),
-            "a transaction must access at least one object"
-        );
-        assert!(
-            read_set.iter().all(|o| !write_set.contains(o)),
-            "read and write sets must be disjoint (writes imply reads)"
-        );
+        let reads = read_set.len();
+        let mut objects = read_set;
+        objects.reserve_exact(write_set.len());
+        objects.extend_from_slice(&write_set);
+        Self::from_objects(id, arrival, objects, reads, deadline, home_site)
+    }
+
+    /// Creates a specification from its access sets in one buffer: the
+    /// first `reads` objects are the read set, the rest the write set. The
+    /// buffer becomes the spec's own, so a caller that sizes it exactly
+    /// pays one allocation per transaction.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`TxnSpec::new`] does, and if `reads` exceeds the number
+    /// of objects.
+    pub fn from_objects(
+        id: TxnId,
+        arrival: SimTime,
+        objects: Vec<ObjectId>,
+        reads: usize,
+        deadline: SimTime,
+        home_site: SiteId,
+    ) -> Self {
+        assert!(reads <= objects.len(), "read count exceeds the objects");
+        let (read_set, write_set) = objects.split_at(reads);
+        check_access(read_set, write_set);
         assert!(deadline > arrival, "deadline must be after arrival");
         TxnSpec {
             id,
             arrival,
-            read_set,
-            write_set,
+            reads: read_count(reads),
+            objects,
             deadline,
             home_site,
         }
     }
 
+    /// Replaces both access sets, reusing the buffer, so a spec that is
+    /// rewritten for every transaction allocates only when it grows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sets overlap or are both empty.
+    pub fn set_access(&mut self, read_set: &[ObjectId], write_set: &[ObjectId]) {
+        check_access(read_set, write_set);
+        self.objects.clear();
+        self.objects.extend_from_slice(read_set);
+        self.objects.extend_from_slice(write_set);
+        self.reads = read_count(read_set.len());
+    }
+
+    /// Objects read but not written, in access order.
+    pub fn read_set(&self) -> &[ObjectId] {
+        &self.objects[..self.reads as usize]
+    }
+
+    /// Objects written (each also read first), in access order.
+    pub fn write_set(&self) -> &[ObjectId] {
+        &self.objects[self.reads as usize..]
+    }
+
     /// Total number of objects accessed (the paper's "transaction size").
     pub fn size(&self) -> usize {
-        self.read_set.len() + self.write_set.len()
+        self.objects.len()
     }
 
     /// Read-only or update.
     pub fn kind(&self) -> TxnKind {
-        if self.write_set.is_empty() {
+        if self.write_set().is_empty() {
             TxnKind::ReadOnly
         } else {
             TxnKind::Update
@@ -114,12 +165,12 @@ impl TxnSpec {
 
     /// Whether the transaction writes `obj`.
     pub fn writes(&self, obj: ObjectId) -> bool {
-        self.write_set.contains(&obj)
+        self.write_set().contains(&obj)
     }
 
     /// Whether the transaction reads or writes `obj`.
     pub fn accesses(&self, obj: ObjectId) -> bool {
-        self.read_set.contains(&obj) || self.write_set.contains(&obj)
+        self.objects.contains(&obj)
     }
 
     /// The access sequence: every object with the lock mode it needs,
@@ -133,11 +184,27 @@ impl TxnSpec {
     /// refill reusable buffers instead of allocating a fresh vector per
     /// transaction.
     pub fn access_ops(&self) -> impl Iterator<Item = (ObjectId, LockMode)> + '_ {
-        self.read_set
+        self.read_set()
             .iter()
             .map(|&o| (o, LockMode::Read))
-            .chain(self.write_set.iter().map(|&o| (o, LockMode::Write)))
+            .chain(self.write_set().iter().map(|&o| (o, LockMode::Write)))
     }
+}
+
+/// Checks what every spec's access sets must satisfy.
+fn check_access(read_set: &[ObjectId], write_set: &[ObjectId]) {
+    assert!(
+        !(read_set.is_empty() && write_set.is_empty()),
+        "a transaction must access at least one object"
+    );
+    assert!(
+        read_set.iter().all(|o| !write_set.contains(o)),
+        "read and write sets must be disjoint (writes imply reads)"
+    );
+}
+
+fn read_count(reads: usize) -> u32 {
+    u32::try_from(reads).expect("read set longer than u32::MAX")
 }
 
 impl fmt::Display for TxnSpec {
@@ -147,8 +214,8 @@ impl fmt::Display for TxnSpec {
             "{}@{} r{}w{} dl={}",
             self.id,
             self.home_site,
-            self.read_set.len(),
-            self.write_set.len(),
+            self.read_set().len(),
+            self.write_set().len(),
             self.deadline
         )
     }
@@ -167,6 +234,67 @@ mod tests {
             SimTime::from_ticks(100),
             SiteId(0),
         )
+    }
+
+    fn from_objects(objects: Vec<u32>, reads: usize) -> TxnSpec {
+        TxnSpec::from_objects(
+            TxnId(1),
+            SimTime::from_ticks(10),
+            objects.into_iter().map(ObjectId).collect(),
+            reads,
+            SimTime::from_ticks(100),
+            SiteId(0),
+        )
+    }
+
+    #[test]
+    fn spec_is_one_buffer_and_a_read_count() {
+        // 56 bytes: id, arrival, deadline, the object buffer, the read
+        // count and the home site. Two separate sets would make it 80.
+        assert!(std::mem::size_of::<TxnSpec>() <= 56);
+    }
+
+    #[test]
+    fn from_objects_splits_reads_then_writes() {
+        let s = from_objects(vec![5, 2, 9], 2);
+        assert_eq!(s, spec(vec![5, 2], vec![9]));
+        assert_eq!(s.read_set(), [ObjectId(5), ObjectId(2)]);
+        assert_eq!(s.write_set(), [ObjectId(9)]);
+        assert_eq!(from_objects(vec![4], 1).kind(), TxnKind::ReadOnly);
+        assert_eq!(from_objects(vec![4], 0).write_set(), [ObjectId(4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one object")]
+    fn from_objects_rejects_empty_sets() {
+        from_objects(vec![], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "disjoint")]
+    fn from_objects_rejects_overlapping_sets() {
+        from_objects(vec![3, 1, 3], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "read count exceeds")]
+    fn from_objects_rejects_a_read_count_past_the_end() {
+        from_objects(vec![3], 2);
+    }
+
+    #[test]
+    fn set_access_rewrites_both_sets() {
+        let mut s = spec(vec![1, 2, 3], vec![4]);
+        s.set_access(&[], &[ObjectId(8)]);
+        assert_eq!(s, spec(vec![], vec![8]));
+        s.set_access(&[ObjectId(6), ObjectId(7)], &[]);
+        assert_eq!(s, spec(vec![6, 7], vec![]));
+    }
+
+    #[test]
+    #[should_panic(expected = "disjoint")]
+    fn set_access_rejects_overlapping_sets() {
+        spec(vec![1], vec![]).set_access(&[ObjectId(2)], &[ObjectId(2)]);
     }
 
     #[test]

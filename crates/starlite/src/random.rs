@@ -121,13 +121,16 @@ impl RandomSource {
         }
         // Lemire's widening-multiply mapping with rejection of the biased
         // low zone, so every value in the span is exactly equally likely.
-        let threshold = span.wrapping_neg() % span;
-        loop {
-            let wide = self.rng.next_u64() as u128 * span as u128;
-            if (wide as u64) >= threshold {
-                return lo + ((wide >> 64) as u64);
+        // The zone is `2^64 mod span` values long, less than `span`, so a
+        // low word at or above `span` is accepted without computing it.
+        let mut wide = self.rng.next_u64() as u128 * span as u128;
+        if (wide as u64) < span {
+            let threshold = span.wrapping_neg() % span;
+            while (wide as u64) < threshold {
+                wide = self.rng.next_u64() as u128 * span as u128;
             }
         }
+        lo + ((wide >> 64) as u64)
     }
 
     /// Bernoulli draw: `true` with probability `p`.
@@ -232,6 +235,49 @@ mod tests {
         assert_eq!(ca.next_u64(), cb.next_u64());
         // Parent and child produce different streams.
         assert_ne!(a.next_u64(), ca.next_u64());
+    }
+
+    /// Lemire's mapping with the rejection threshold computed on every
+    /// call: the reference `uniform_inclusive` must match draw for draw.
+    fn uniform_by_division(r: &mut RandomSource, lo: u64, hi: u64) -> u64 {
+        let span = hi.wrapping_sub(lo).wrapping_add(1);
+        if span == 0 {
+            return r.next_u64();
+        }
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let wide = r.next_u64() as u128 * span as u128;
+            if (wide as u64) >= threshold {
+                return lo + ((wide >> 64) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_inclusive_matches_the_division_form_draw_for_draw() {
+        // Spans 1, 2, 3, 2^32 + 1, 2^63 + 1 (which rejects about half its
+        // draws) and the full u64 range.
+        let ranges = [
+            (5, 5),
+            (0, 1),
+            (7, 9),
+            (0, 1 << 32),
+            (3, (1 << 63) + 3),
+            (0, u64::MAX),
+        ];
+        for (lo, hi) in ranges {
+            let mut fast = RandomSource::new(21);
+            let mut reference = RandomSource::new(21);
+            for i in 0..10_000 {
+                assert_eq!(
+                    fast.uniform_inclusive(lo, hi),
+                    uniform_by_division(&mut reference, lo, hi),
+                    "draw {i} of [{lo}, {hi}]"
+                );
+            }
+            // Both consumed the same raw draws.
+            assert_eq!(fast.next_u64(), reference.next_u64());
+        }
     }
 
     #[test]

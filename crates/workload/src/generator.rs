@@ -36,6 +36,10 @@ use crate::spec::{SizeDistribution, WorkloadSpec};
 pub struct Generator<'a> {
     spec: &'a WorkloadSpec,
     catalog: &'a Catalog,
+    /// Each site's primary copies in id order, which update transactions
+    /// draw their writes from; empty for a single-site catalog, whose
+    /// updates draw from the whole database.
+    primaries: Vec<Vec<ObjectId>>,
 }
 
 impl fmt::Debug for Generator<'_> {
@@ -73,7 +77,18 @@ impl<'a> Generator<'a> {
                 "periodic task site out of range"
             );
         }
-        Generator { spec, catalog }
+        let primaries = if catalog.placement() == Placement::SingleSite {
+            Vec::new()
+        } else {
+            (0..catalog.site_count())
+                .map(|s| catalog.primaries_at(SiteId(s)).collect())
+                .collect()
+        };
+        Generator {
+            spec,
+            catalog,
+            primaries,
+        }
     }
 
     /// Generates the full transaction stream, sorted by arrival time:
@@ -81,9 +96,11 @@ impl<'a> Generator<'a> {
     /// with same-tick arrivals kept in that generation order.
     ///
     /// Each transaction is built once, straight into the returned list,
-    /// with both access sets at exact capacity. Transaction ids are
-    /// assigned after sorting, so id order equals arrival order — useful
-    /// for debugging, never relied upon by the protocols.
+    /// with its access sets in one exactly sized buffer. Transaction ids
+    /// are assigned after sorting, so each id is the transaction's index
+    /// in the list. The simulators' spec store uses that to look a spec up
+    /// without an index entry, but checks the id it finds, so a list
+    /// numbered otherwise runs the same; no protocol relies on it.
     pub fn generate(&self, seed: u64) -> Vec<TxnSpec> {
         let mut rng = RandomSource::new(seed);
         let mut aperiodic_rng = rng.split();
@@ -109,20 +126,20 @@ impl<'a> Generator<'a> {
         txns
     }
 
-    /// Appends a transaction whose id is its generation index.
+    /// Appends a transaction whose id is its generation index and whose
+    /// first `reads` objects are its read set.
     fn push(
         &self,
         out: &mut Vec<TxnSpec>,
         arrival: SimTime,
-        read_set: Vec<ObjectId>,
-        write_set: Vec<ObjectId>,
+        objects: Vec<ObjectId>,
+        reads: usize,
         site: SiteId,
     ) {
-        let size = (read_set.len() + write_set.len()) as u32;
-        let deadline = arrival + self.spec.deadline.offset(size);
+        let deadline = arrival + self.spec.deadline.offset(objects.len() as u32);
         let id = TxnId(out.len() as u64);
-        out.push(TxnSpec::new(
-            id, arrival, read_set, write_set, deadline, site,
+        out.push(TxnSpec::from_objects(
+            id, arrival, objects, reads, deadline, site,
         ));
     }
 
@@ -132,9 +149,9 @@ impl<'a> Generator<'a> {
             clock += rng.exponential(self.spec.mean_interarrival);
             let size = self.draw_size(rng);
             let read_only = rng.chance(self.spec.read_only_fraction);
-            let (site, read_set, write_set) = if read_only {
+            let (site, objects, reads) = if read_only {
                 let site = self.random_site(rng);
-                let reads = if self.spec.scan_readers {
+                let objects = if self.spec.scan_readers {
                     // A contiguous scan range [start, start + size).
                     let start =
                         rng.uniform_inclusive(0, (self.catalog.db_size() - size) as u64) as u32;
@@ -142,11 +159,11 @@ impl<'a> Generator<'a> {
                 } else {
                     self.sample_objects(rng, size as usize)
                 };
-                (site, reads, Vec::new())
+                (site, objects, size as usize)
             } else {
                 self.place_update(rng, size)
             };
-            self.push(out, clock, read_set, write_set, site);
+            self.push(out, clock, objects, reads, site);
         }
     }
 
@@ -154,8 +171,10 @@ impl<'a> Generator<'a> {
         for task in &self.spec.periodic {
             for k in 0..task.instances {
                 let arrival = SimTime::ZERO + task.period * k as u64;
-                let (reads, writes) = (task.read_set.clone(), task.write_set.clone());
-                self.push(out, arrival, reads, writes, task.site);
+                let mut objects = Vec::with_capacity(task.size());
+                objects.extend_from_slice(&task.read_set);
+                objects.extend_from_slice(&task.write_set);
+                self.push(out, arrival, objects, task.read_set.len(), task.site);
             }
         }
     }
@@ -180,43 +199,42 @@ impl<'a> Generator<'a> {
 
     /// Places an update transaction: pick a home site, draw its writes
     /// from that site's primary copies, and its reads from the rest of the
-    /// database.
-    fn place_update(
-        &self,
-        rng: &mut RandomSource,
-        size: u32,
-    ) -> (SiteId, Vec<ObjectId>, Vec<ObjectId>) {
+    /// database. Returns the site, the objects (reads, then writes) and
+    /// the number of reads.
+    fn place_update(&self, rng: &mut RandomSource, size: u32) -> (SiteId, Vec<ObjectId>, usize) {
         let size = size as usize;
         let mut writes = ((size as f64) * self.spec.write_fraction).round() as usize;
         writes = writes.clamp(1, size);
         let reads = size - writes;
 
         if self.catalog.placement() == Placement::SingleSite {
+            // The first `reads` draws are the reads, the rest the writes.
             let objs = rng.sample_distinct(size, self.catalog.db_size() as u64);
-            let (read_set, write_set) = objs.split_at(reads);
-            return (SiteId(0), object_ids(read_set), object_ids(write_set));
+            return (SiteId(0), object_ids(&objs), reads);
         }
 
         let site = self.random_site(rng);
-        let primaries: Vec<ObjectId> = self.catalog.primaries_at(site).collect();
+        let primaries = &self.primaries[site.index()];
         assert!(
             primaries.len() >= writes,
             "site {site} holds too few primaries for a {writes}-write transaction"
         );
         // Draw writes from the site's primaries.
         let write_idx = rng.sample_distinct(writes, primaries.len() as u64);
-        let write_set: Vec<ObjectId> = write_idx.iter().map(|&i| primaries[i as usize]).collect();
+        let mut objects = Vec::with_capacity(size);
+        objects.extend(write_idx.iter().map(|&i| primaries[i as usize]));
         // Draw reads from the remaining objects (any site; local replicas
         // serve them).
-        let mut read_set = Vec::with_capacity(reads);
-        while read_set.len() < reads {
+        while objects.len() < size {
             let candidate =
                 ObjectId(rng.uniform_inclusive(0, self.catalog.db_size() as u64 - 1) as u32);
-            if !write_set.contains(&candidate) && !read_set.contains(&candidate) {
-                read_set.push(candidate);
+            if !objects.contains(&candidate) {
+                objects.push(candidate);
             }
         }
-        (site, read_set, write_set)
+        // The writes were drawn first; the spec lists the reads first.
+        objects.rotate_left(writes);
+        (site, objects, reads)
     }
 }
 
@@ -312,7 +330,7 @@ mod tests {
             .write_fraction(0.5)
             .build();
         for t in Generator::new(&spec, &cat).generate(11) {
-            for &o in &t.write_set {
+            for &o in t.write_set() {
                 assert_eq!(
                     cat.primary_site(o),
                     t.home_site,
@@ -334,7 +352,7 @@ mod tests {
             .write_fraction(0.1)
             .build();
         for t in Generator::new(&spec, &cat).generate(2) {
-            assert!(!t.write_set.is_empty(), "{} has no writes", t.id);
+            assert!(!t.write_set().is_empty(), "{} has no writes", t.id);
         }
     }
 
@@ -368,7 +386,7 @@ mod tests {
         let txns = Generator::new(&spec, &cat).generate(8);
         let periodic: Vec<&TxnSpec> = txns
             .iter()
-            .filter(|t| t.write_set == vec![ObjectId(0)] && t.read_set.is_empty())
+            .filter(|t| t.write_set() == [ObjectId(0)] && t.read_set().is_empty())
             .collect();
         assert_eq!(periodic.len(), 4);
         let arrivals: Vec<u64> = periodic.iter().map(|t| t.arrival.ticks()).collect();
@@ -385,11 +403,11 @@ mod tests {
             .scan_readers(true)
             .build();
         for t in Generator::new(&spec, &cat).generate(17) {
-            assert!(t.write_set.is_empty());
-            for w in t.read_set.windows(2) {
+            assert!(t.write_set().is_empty());
+            for w in t.read_set().windows(2) {
                 assert_eq!(w[1].0, w[0].0 + 1, "{} read set not contiguous", t.id);
             }
-            assert!(t.read_set.last().unwrap().0 < cat.db_size());
+            assert!(t.read_set().last().unwrap().0 < cat.db_size());
         }
     }
 

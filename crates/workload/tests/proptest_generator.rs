@@ -65,7 +65,7 @@ proptest! {
             prop_assert!((lo..=hi).contains(&(t.size() as u32)));
             // Sets are disjoint and in range (TxnSpec::new checks
             // disjointness; re-check range here).
-            for o in t.read_set.iter().chain(&t.write_set) {
+            for o in t.read_set().iter().chain(t.write_set()) {
                 prop_assert!(o.0 < db);
             }
             // Deadline rule.
@@ -75,10 +75,10 @@ proptest! {
             );
             // Placement restriction 2: writes are primary at home.
             if t.kind() == TxnKind::Update {
-                for &w in &t.write_set {
+                for &w in t.write_set() {
                     prop_assert_eq!(catalog.primary_site(w), t.home_site);
                 }
-                prop_assert!(!t.write_set.is_empty());
+                prop_assert!(!t.write_set().is_empty());
             }
             prop_assert!(t.home_site.0 < sites);
         }

@@ -128,7 +128,7 @@ impl CheckedRun {
             .collect();
         let mut expected: FxHashMap<ObjectId, u64> = FxHashMap::default();
         for spec in self.txns.iter().filter(|t| durable.contains(&t.id)) {
-            for &object in &spec.write_set {
+            for &object in spec.write_set() {
                 *expected.entry(object).or_default() += 1;
             }
         }

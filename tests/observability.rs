@@ -166,7 +166,7 @@ fn dist(
 /// its two-phase-commit legs crosses a link (the global architecture
 /// does not need writes to be primary at the home site).
 fn remote_updates(mut txns: Vec<TxnSpec>) -> Vec<TxnSpec> {
-    for t in txns.iter_mut().filter(|t| !t.write_set.is_empty()) {
+    for t in txns.iter_mut().filter(|t| !t.write_set().is_empty()) {
         t.home_site = SiteId((t.home_site.0 + 1) % 3);
     }
     txns

@@ -116,7 +116,7 @@ proptest! {
         let mut expected = [0u64; 8];
         for txn in run.committed() {
             let spec = scenario.txns.iter().find(|t| t.id == txn).expect("spec");
-            for w in &spec.write_set {
+            for w in spec.write_set() {
                 expected[w.0 as usize] += 1;
             }
         }
