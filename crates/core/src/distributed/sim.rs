@@ -145,7 +145,6 @@ enum Message {
     Decision {
         txn: TxnId,
         commit: bool,
-        writes: Vec<ObjectId>,
         coordinator: SiteId,
     },
     AckMsg {
@@ -558,9 +557,9 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         self.send_decision(txn, home, sites, commit, sched);
     }
 
-    /// Sends `txn`'s decision to `sites`. A commit carries the write set
-    /// and, in fault mode, is retransmitted until acknowledged, so lost
-    /// decisions or acks cannot wedge a decided transaction.
+    /// Sends `txn`'s decision to `sites`. A commit is, in fault mode,
+    /// retransmitted until acknowledged, so lost decisions or acks cannot
+    /// wedge a decided transaction.
     fn send_decision(
         &mut self,
         txn: TxnId,
@@ -570,15 +569,9 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         sched: &mut Scheduler<Ev>,
     ) {
         for &s in sites {
-            let writes = if commit {
-                self.specs[txn].write_set().to_vec()
-            } else {
-                Vec::new()
-            };
             let decision = Message::Decision {
                 txn,
                 commit,
-                writes,
                 coordinator: home,
             };
             self.send(home, s, decision, sched);
@@ -1307,7 +1300,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             Message::Decision {
                 txn,
                 commit,
-                writes,
                 coordinator,
             } => {
                 let Some(mut participant) = self.driver.participants.remove(&(txn, to)) else {
@@ -1325,7 +1317,10 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 self.emit(sched.now(), to, SimEventKind::TwoPcResolved { txn, commit });
                 if action == ParticipantAction::CommitAndAck {
                     let now = sched.now();
-                    for &obj in &writes {
+                    // User spec slots are never reused, so the spec still
+                    // holds the committed write set.
+                    for i in 0..self.specs[txn].write_set().len() {
+                        let obj = self.specs[txn].write_set()[i];
                         if self.driver.catalog.primary_site(obj) == to {
                             let store = &mut self.sites[to.index()].store;
                             let value = store.read(obj).value + 1;

@@ -5,9 +5,10 @@
 //! granting the most urgent admissible request and rescanning the whole
 //! queue from the top, refreshes every survivor with a full admission
 //! check, and computes inheritance from scratch as the effective-priority
-//! fixpoint over every registered transaction. The engine instead sweeps
-//! the wake-ordered queue once against the system ceiling and updates
-//! inheritance incrementally; both must agree on every call.
+//! fixpoint over every registered transaction. The engine instead keeps
+//! each waiter's gate-1 conflictors current, sweeps the wake-ordered
+//! queue once against the system ceiling and updates inheritance
+//! incrementally; both must agree on every call.
 
 use std::collections::HashMap;
 
@@ -32,26 +33,16 @@ impl PriorityCeilingProtocol {
     pub(super) fn admission_check_reference(
         &self,
         txn: TxnId,
-        phase_txns: &mut Vec<TxnId>,
+        conflictors: &mut Vec<TxnId>,
         blockers: &mut Vec<TxnId>,
     ) -> Result<(), DenialGate> {
         blockers.clear();
-        if self.in_phase(txn) {
+        if !self.txns[&txn].held.is_empty() {
             return Ok(());
         }
-        phase_txns.clear();
-        let me = &self.active[&txn];
-        phase_txns.extend(
-            self.held_by
-                .iter()
-                .filter(|&(&t, objs)| {
-                    t != txn && !objs.is_empty() && self.sets_conflict(me, &self.active[&t])
-                })
-                .map(|(&t, _)| t),
-        );
-        if !phase_txns.is_empty() {
-            phase_txns.sort_unstable();
-            blockers.extend_from_slice(phase_txns);
+        self.scan_conflictors(txn, conflictors);
+        if !conflictors.is_empty() {
+            blockers.extend_from_slice(conflictors);
             return Err(DenialGate::SetConflict);
         }
         let p = self.base_priority(txn);
@@ -122,7 +113,7 @@ impl PriorityCeilingProtocol {
     /// transaction, diffed against the previous assignment.
     pub(super) fn recompute_reference(&mut self) -> Vec<(TxnId, Priority)> {
         let mut anomalies = Vec::new();
-        let mut eff = effective_priorities(&self.base, self.blocked_by(), &mut anomalies);
+        let mut eff = effective_priorities(&self.base_map(), self.blocked_by(), &mut anomalies);
         if self.trace {
             self.journal.extend(
                 anomalies
@@ -133,13 +124,15 @@ impl PriorityCeilingProtocol {
                     }),
             );
         }
-        let updates = diff_updates(&mut self.effective, &mut eff);
-        self.raised = self
-            .effective
-            .iter()
-            .filter(|&(t, e)| self.base[t] != *e)
-            .map(|(&t, _)| t)
-            .collect();
+        let mut assignment = self.effective_map();
+        let updates = diff_updates(&mut assignment, &mut eff);
+        self.raised.clear();
+        for (&t, r) in &mut self.txns {
+            r.effective = assignment[&t];
+            if r.effective != r.base {
+                self.raised.push(t);
+            }
+        }
         self.raised.sort_unstable();
         updates
     }
@@ -209,7 +202,8 @@ impl Lockstep {
         assert_eq!(ours, theirs, "journals");
         assert_eq!(self.engine.queue(), self.reference.queue(), "blocked queue");
         assert_eq!(
-            self.engine.effective, self.reference.effective,
+            self.engine.effective_map(),
+            self.reference.effective_map(),
             "effective priorities"
         );
         assert_eq!(
@@ -224,6 +218,15 @@ impl Lockstep {
             .blocked
             .iter()
             .map(|b| (b.txn, b.blockers.clone()))
+            .collect()
+    }
+
+    /// The waiters and their kept gate-1 conflictors, in wake order.
+    fn conflictors(&self) -> Vec<(TxnId, Vec<TxnId>)> {
+        self.engine
+            .blocked
+            .iter()
+            .map(|b| (b.txn, b.conflictors.clone()))
             .collect()
     }
 }
@@ -312,6 +315,68 @@ fn refresh_picks_up_a_new_holder_of_the_ceiling_lock() {
     // moves to T3.
     assert!(woken(s.release(2, ReleaseReason::Finished)).is_empty());
     assert_eq!(s.waiting(), [(TxnId(4), vec![TxnId(3)])]);
+}
+
+#[test]
+fn request_path_admission_joins_published_edges_at_the_next_release() {
+    let mut s = Lockstep::new(CeilingSemantics::ReadWrite);
+    s.register(&spec(1, 900, &[], &[1, 5])); // low
+    s.register(&spec(2, 100, &[5, 6], &[])); // high
+    s.register(&spec(3, 500, &[], &[6])); // medium
+    s.register(&spec(4, 700, &[7], &[])); // idle
+    assert_eq!(
+        s.request(1, 1, LockMode::Write).outcome,
+        RequestOutcome::Granted
+    );
+    // T2 reads O5, which T1 declared it writes.
+    assert_eq!(s.request(2, 5, LockMode::Read).outcome, blocked_on(1));
+    // T3 conflicts with T2 on O6 but not with T1, and is above O1's
+    // ceiling: its first grant makes it a conflictor of T2 at once...
+    assert_eq!(
+        s.request(3, 6, LockMode::Write).outcome,
+        RequestOutcome::Granted
+    );
+    assert_eq!(s.conflictors(), [(TxnId(2), vec![TxnId(1), TxnId(3)])]);
+    // ...but a blocked-by edge only from the next release's wake pass.
+    assert_eq!(s.waiting(), [(TxnId(2), vec![TxnId(1)])]);
+    assert!(woken(s.release(4, ReleaseReason::Restart)).is_empty());
+    assert_eq!(s.waiting(), [(TxnId(2), vec![TxnId(1), TxnId(3)])]);
+}
+
+#[test]
+fn restarted_conflictor_leaves_and_rejoins_at_its_next_first_grant() {
+    let mut s = Lockstep::new(CeilingSemantics::ReadWrite);
+    s.register(&spec(1, 100, &[], &[1, 5])); // high
+    s.register(&spec(2, 300, &[5, 6], &[]));
+    s.register(&spec(3, 500, &[], &[6, 8]));
+    s.register(&spec(4, 700, &[7], &[])); // idle
+    assert_eq!(
+        s.request(3, 8, LockMode::Write).outcome,
+        RequestOutcome::Granted
+    );
+    assert_eq!(s.request(2, 5, LockMode::Read).outcome, blocked_on(3));
+    // T1 conflicts with T2 on O5, not with T3, and is above O8's ceiling.
+    assert_eq!(
+        s.request(1, 1, LockMode::Write).outcome,
+        RequestOutcome::Granted
+    );
+    assert!(woken(s.release(4, ReleaseReason::Restart)).is_empty());
+    assert_eq!(s.waiting(), [(TxnId(2), vec![TxnId(1), TxnId(3)])]);
+    // T1 restarts: it releases O1 and stops conflicting, and T3 still
+    // keeps T2 blocked.
+    assert!(woken(s.release(1, ReleaseReason::Restart)).is_empty());
+    assert_eq!(s.conflictors(), [(TxnId(2), vec![TxnId(3)])]);
+    assert_eq!(s.waiting(), [(TxnId(2), vec![TxnId(3)])]);
+    // Its next first grant makes it a conflictor again, published at the
+    // next release.
+    assert_eq!(
+        s.request(1, 1, LockMode::Write).outcome,
+        RequestOutcome::Granted
+    );
+    assert_eq!(s.conflictors(), [(TxnId(2), vec![TxnId(1), TxnId(3)])]);
+    assert_eq!(s.waiting(), [(TxnId(2), vec![TxnId(3)])]);
+    assert!(woken(s.release(4, ReleaseReason::Restart)).is_empty());
+    assert_eq!(s.waiting(), [(TxnId(2), vec![TxnId(1), TxnId(3)])]);
 }
 
 #[derive(Debug, Clone)]
